@@ -32,8 +32,9 @@ void usage() {
          "  --threads J      alias for --jobs\n"
          "  --sim-threads K  lanes per simulated round (default 1; also\n"
          "                   $FTSS_SIM_THREADS).  Byte-identical output for\n"
-         "                   any K; nested under a parallel sweep the sims\n"
-         "                   run serially, so pair K>1 with --jobs 1\n"
+         "                   any K, traced or not; with --jobs > 1 each sim\n"
+         "                   runs its lanes inline on its sweep thread, so\n"
+         "                   pair K>1 with --jobs 1 for concurrent lanes\n"
          "  --mode M         all|sync|jitter|compiled (default all)\n"
          "  --weakened W     none|ra-max|no-tags (default none)\n"
          "  --no-shrink      report failures without shrinking\n"

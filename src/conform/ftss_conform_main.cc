@@ -30,7 +30,9 @@ void usage() {
                "  --jobs J         worker threads (default: hardware)\n"
                "  --sim-threads K  lanes per simulated round (default 1;\n"
                "                   also $FTSS_SIM_THREADS); byte-identical\n"
-               "                   output for any K — pair with --jobs 1\n"
+               "                   output for any K, traced legs included;\n"
+               "                   with --jobs > 1 lanes run inline, so\n"
+               "                   pair with --jobs 1 for concurrent lanes\n"
                "  --no-shrink      report divergent plans without shrinking\n"
                "  --max-failures K divergent plans to keep (default 3)\n"
                "  --svc-batching   run the serving-layer batching-\n"

@@ -4,7 +4,6 @@
 #include <map>
 #include <memory>
 #include <sstream>
-#include <stdexcept>
 #include <tuple>
 #include <utility>
 
@@ -33,34 +32,6 @@ struct Pending {
 };
 
 class LockstepDriver;
-
-// Minimal Outbox capturing a process's begin_round emissions, with the same
-// bounds behavior and broadcast order as the sync simulator's outbox.
-class CollectOutbox : public Outbox {
- public:
-  CollectOutbox(ProcessId self, int n, std::vector<Message>* sink)
-      : self_(self), n_(n), sink_(sink) {}
-
-  void send(ProcessId to, Value payload) override {
-    if (to < 0 || to >= n_) {
-      throw std::out_of_range("Outbox::send: bad destination");
-    }
-    sink_->push_back(Message{self_, to, std::move(payload)});
-  }
-
-  void broadcast(Value payload) override {
-    for (ProcessId q = 0; q < n_; ++q) {
-      sink_->push_back(Message{self_, q, payload});
-    }
-  }
-
-  int process_count() const override { return n_; }
-
- private:
-  ProcessId self_;
-  int n_;
-  std::vector<Message>* sink_;
-};
 
 // AsyncProcess shell around one SyncProcess: all round mechanics live in the
 // driver; the adapter only forwards activations and holds the per-round

@@ -4,7 +4,6 @@
 #include <map>
 #include <memory>
 #include <sstream>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -26,32 +25,6 @@ using wire::FrameType;
 using wire::WireError;
 
 // --- Process side (one OS thread per process) ----------------------------
-
-class ThreadOutbox : public Outbox {
- public:
-  ThreadOutbox(ProcessId self, int n, std::vector<Message>* sink)
-      : self_(self), n_(n), sink_(sink) {}
-
-  void send(ProcessId to, Value payload) override {
-    if (to < 0 || to >= n_) {
-      throw std::out_of_range("Outbox::send: bad destination");
-    }
-    sink_->push_back(Message{self_, to, std::move(payload)});
-  }
-
-  void broadcast(Value payload) override {
-    for (ProcessId q = 0; q < n_; ++q) {
-      sink_->push_back(Message{self_, q, payload});
-    }
-  }
-
-  int process_count() const override { return n_; }
-
- private:
-  ProcessId self_;
-  int n_;
-  std::vector<Message>* sink_;
-};
 
 Value state_report(const SyncProcess& proc, Round r, bool with_round) {
   Value v;
@@ -123,7 +96,7 @@ void process_main(Channel ch, SyncProcess* proc, std::string* error) {
         std::int64_t count = 0;
         if (!proc->halted()) {
           std::vector<Message> outgoing;
-          ThreadOutbox out(self, n, &outgoing);
+          CollectOutbox out(self, n, &outgoing);
           proc->begin_round(out);
           for (Message& m : outgoing) {
             Value mb;

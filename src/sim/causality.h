@@ -67,22 +67,17 @@ class CausalityTracker {
     }
   }
 
-  // Is q's influence set already the whole universe?  Further deliveries to
-  // q are no-ops; the simulator's fast path uses this to skip whole
-  // delivery loops once the closure has saturated.
-  bool saturated(ProcessId q) const { return full_.contains(q); }
-
-  // --- Lane API for the parallel round engine ----------------------------
+  // --- Lane API for the round engine --------------------------------------
   //
   // Each engine lane owns a contiguous range of destinations; during a
-  // parallel delivery phase it calls deliver_snapshot_lane for its own
+  // delivery phase it calls deliver_snapshot_lane for its own
   // destinations only, accumulating staleness/fullness into its private
   // Lane instead of the shared stale_/full_ bookkeeping (which other lanes
   // are reading concurrently).  merge_lane folds the bits back serially
   // between phases.  influence_[dest] itself is written directly — the
   // dest partition makes it lane-exclusive — and influence growth is
   // monotone with commuting unions, so the merged state is bit-identical
-  // to the serial delivery order's.
+  // to one-at-a-time delivery in sender-major order.
   struct Lane {
     ProcessSet stale;
     ProcessSet full;
@@ -100,9 +95,11 @@ class CausalityTracker {
       if (influence_[dest].count() == n_) lane.full.insert(dest);
     }
   }
-  // saturated(), seen through a lane: accounts for fullness reached by this
-  // lane's own deliveries earlier in the round (pre-merge).  Only valid for
-  // destinations the lane owns.
+  // Is q's influence set already the whole universe, counting fullness
+  // reached by this lane's own deliveries earlier in the round (pre-merge)?
+  // Further deliveries to q are no-ops; the simulator's fast path uses this
+  // to skip whole delivery loops once the closure has saturated.  Only
+  // valid for destinations the lane owns.
   bool saturated_lane(ProcessId q, const Lane& lane) const {
     return full_.contains(q) || lane.full.contains(q);
   }

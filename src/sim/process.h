@@ -9,6 +9,8 @@
 #pragma once
 
 #include <optional>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/types.h"
@@ -24,6 +26,38 @@ class Outbox {
   virtual void send(ProcessId to, Value payload) = 0;
   virtual void broadcast(Value payload) = 0;  // to all n processes, incl. self
   virtual int process_count() const = 0;
+};
+
+// Outbox appending a process's begin_round emissions to a caller-owned
+// vector: sends are bounds-checked, and a broadcast fans out into one
+// Message per destination in id order, self included.  The sync
+// simulator's send phase, the lockstep leg and the transport leg's process
+// threads all collect through it, so every execution leg sees the same
+// emission order and the same bad-destination error.
+class CollectOutbox : public Outbox {
+ public:
+  CollectOutbox(ProcessId self, int n, std::vector<Message>* sink)
+      : self_(self), n_(n), sink_(sink) {}
+
+  void send(ProcessId to, Value payload) override {
+    if (to < 0 || to >= n_) {
+      throw std::out_of_range("Outbox::send: bad destination");
+    }
+    sink_->push_back(Message{self_, to, std::move(payload)});
+  }
+
+  void broadcast(Value payload) override {
+    for (ProcessId q = 0; q < n_; ++q) {
+      sink_->push_back(Message{self_, q, payload});
+    }
+  }
+
+  int process_count() const override { return n_; }
+
+ private:
+  ProcessId self_;
+  int n_;
+  std::vector<Message>* sink_;
 };
 
 class SyncProcess {

@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "sim/fate_schedule.h"
 #include "util/worker_pool.h"
 
 namespace ftss {
@@ -54,35 +55,9 @@ SimLaneHooks sim_lane_hooks() {
   return hooks;
 }
 
-class SyncSimulator::OutboxImpl : public Outbox {
- public:
-  OutboxImpl(ProcessId self, int n, std::vector<Message>* sink)
-      : self_(self), n_(n), sink_(sink) {}
-
-  void send(ProcessId to, Value payload) override {
-    if (to < 0 || to >= n_) {
-      throw std::out_of_range("Outbox::send: bad destination");
-    }
-    sink_->push_back(Message{self_, to, std::move(payload)});
-  }
-
-  void broadcast(Value payload) override {
-    for (ProcessId q = 0; q < n_; ++q) {
-      sink_->push_back(Message{self_, q, payload});
-    }
-  }
-
-  int process_count() const override { return n_; }
-
- private:
-  ProcessId self_;
-  int n_;
-  std::vector<Message>* sink_;
-};
-
 // Fast-path outbox for rounds where every message is statically known to be
 // delivered this round (no faults manifestable, no jitter, nothing recorded
-// or traced): sends are collected into the shared round log — a broadcast
+// or traced): sends are collected into the lane's round log — a broadcast
 // as ONE entry, not n fanned-out messages — and delivered after the
 // collection phase, skipping the per-message fault checks and SendRecord
 // plumbing entirely.  Deferring delivery to the end of the send phase is
@@ -91,9 +66,6 @@ class SyncSimulator::OutboxImpl : public Outbox {
 // end_round runs.
 class SyncSimulator::FastOutboxImpl : public Outbox {
  public:
-  // The sink is a parameter (rather than the simulator's shared log) so the
-  // parallel engine can hand each collection lane a private log; the serial
-  // path passes &fast_log_ directly.
   FastOutboxImpl(ProcessId self, int n, std::vector<FastSend>* sink)
       : self_(self), n_(n), sink_(sink) {}
 
@@ -136,7 +108,7 @@ SyncSimulator::SyncSimulator(SyncConfig config,
     if (p->suspect_set() != nullptr) any_suspects_ = true;
   }
 
-  // Resolve the parallel round engine's lane count: 0 inherits the process
+  // Resolve the round engine's lane count: 0 inherits the process
   // default, and more lanes than processes (or than dest_lane_'s uint8 can
   // index) buys nothing.
   const unsigned wanted =
@@ -144,24 +116,23 @@ SyncSimulator::SyncSimulator(SyncConfig config,
   const unsigned cap = static_cast<unsigned>(std::min<std::size_t>(
       std::max<std::size_t>(1, processes_.size()), 255));
   lanes_ = std::max(1u, std::min(wanted, cap));
-  if (lanes_ > 1) {
-    engine_lanes_.reserve(lanes_);
-    for (unsigned l = 0; l < lanes_; ++l) {
-      engine_lanes_.emplace_back();
-      engine_lanes_.back().causality = causality_.make_lane();
-    }
-    dest_lane_.resize(processes_.size());
-    for (unsigned l = 0; l < lanes_; ++l) {
-      const auto [lo, hi] = WorkerPool::split(processes_.size(), lanes_, l);
-      for (std::size_t d = lo; d < hi; ++d) {
-        dest_lane_[d] = static_cast<std::uint8_t>(l);
-      }
-    }
-    // Lanes are logical: correctness never depends on the pool's physical
-    // size (a 1-thread pool runs every lane inline), but grow it so a
-    // threads = 8 simulator gets real concurrency on capable hardware.
-    WorkerPool::shared().ensure_lanes(lanes_);
+  engine_lanes_.reserve(lanes_);
+  for (unsigned l = 0; l < lanes_; ++l) {
+    engine_lanes_.emplace_back();
+    engine_lanes_.back().causality = causality_.make_lane();
   }
+  dest_lane_.resize(processes_.size());
+  for (unsigned l = 0; l < lanes_; ++l) {
+    const auto [lo, hi] = WorkerPool::split(processes_.size(), lanes_, l);
+    for (std::size_t d = lo; d < hi; ++d) {
+      dest_lane_[d] = static_cast<std::uint8_t>(l);
+    }
+  }
+  // Lanes are logical: correctness never depends on the pool's physical
+  // size (a 1-thread pool runs every lane inline), but grow it so a
+  // threads = 8 simulator gets real concurrency on capable hardware.  A
+  // single lane runs inline and never touches the pool.
+  if (lanes_ > 1) WorkerPool::shared().ensure_lanes(lanes_);
 }
 
 // Fault manifestation is a trace event exactly once per process (the round
@@ -330,117 +301,38 @@ void SyncSimulator::run_rounds_impl(int k) {
 
     causality_.begin_round();
 
-    // Does the parallel engine run this round's phases?  Never when traced:
-    // the tape must interleave per-message events in exact serial order, so
-    // a traced run takes the serial path regardless of config.threads (the
-    // tracing-transparency oracle compares traced vs untraced histories,
-    // and the untraced parallel run is byte-identical to serial).
-    bool par = false;
-    if constexpr (!kTraced) par = lanes_ > 1;
-
-    // One parallel phase: body(lane) on every engine lane, each lane
-    // reporting a wall-clock span to the installed hooks (per-worker flight
-    // rings) — wall-clock only, never an input to any fingerprint.
+    // One engine phase: body(lane) on every lane.  A single lane runs
+    // inline on the calling thread; several run as one WorkerPool batch,
+    // each lane reporting a wall-clock span to the installed hooks
+    // (per-worker flight rings) — wall-clock only, never an input to any
+    // fingerprint.
     const auto run_lanes = [&](auto&& body) {
+      if (lanes_ == 1) {
+        body(std::size_t{0});
+        return;
+      }
       WorkerPool::shared().run_tasks(lanes_, [&](std::size_t lane) {
         const std::int64_t t0 = hooks.now != nullptr ? hooks.now() : 0;
         body(lane);
         if (hooks.span != nullptr) hooks.span(r, t0);
       });
     };
-
-    // Resolve a message at its delivery round: crash / receive-omission /
-    // delivery, recording the outcome in the current round's record.  The
-    // recording-off instantiation repeats the branch structure without any
-    // SendRecord so that configuration never constructs (or destroys) one
-    // per message; RNG draw order is identical in both arms.
-    auto resolve = [&](Message&& m, Round sent_round,
-                       const ProcessSet& sender_influence,
-                       std::int64_t flow_id) {
-      if constexpr (kRecordSends) {
-        SendRecord sr;
-        sr.sender = m.sender;
-        sr.dest = m.dest;
-        sr.sent_round = sent_round;
-        sr.delivery_round = r;
-        if (config_.record_states) sr.payload = m.payload;
-        if (!rec.alive[m.dest]) {
-          sr.dest_crashed = true;
-          if constexpr (kTraced) {
-            trace_message(TraceEventKind::kDrop, r, m.sender, m.dest,
-                          sent_round, "dest-crashed", flow_id);
-          }
-        } else if (has_recv_rules_[m.dest] &&
-                   receive_dropped(m.sender, m.dest, r)) {
-          sr.dropped_by_receiver = true;
-          mark_faulty(m.dest, r, "receive-omission");
-          if constexpr (kTraced) {
-            trace_message(TraceEventKind::kDrop, r, m.sender, m.dest,
-                          sent_round, "receive-omission", flow_id);
-          }
-        } else {
-          sr.delivered = true;
-          if constexpr (kTraced) {
-            trace_message(TraceEventKind::kDeliver, r, m.sender, m.dest,
-                          sent_round, "", flow_id);
-          }
-          causality_.deliver_snapshot(sender_influence, m.dest);
-          inbox_[m.dest].push_back(std::move(m));
-        }
-        rec.sends.push_back(std::move(sr));
-      } else {
-        if (!rec.alive[m.dest]) {
-          if constexpr (kTraced) {
-            trace_message(TraceEventKind::kDrop, r, m.sender, m.dest,
-                          sent_round, "dest-crashed", flow_id);
-          }
-        } else if (has_recv_rules_[m.dest] &&
-                   receive_dropped(m.sender, m.dest, r)) {
-          mark_faulty(m.dest, r, "receive-omission");
-          if constexpr (kTraced) {
-            trace_message(TraceEventKind::kDrop, r, m.sender, m.dest,
-                          sent_round, "receive-omission", flow_id);
-          }
-        } else {
-          if constexpr (kTraced) {
-            trace_message(TraceEventKind::kDeliver, r, m.sender, m.dest,
-                          sent_round, "", flow_id);
-          }
-          causality_.deliver_snapshot(sender_influence, m.dest);
-          inbox_[m.dest].push_back(std::move(m));
-        }
-      }
+    // The contiguous process-id range a lane owns as sender and destination.
+    const auto owned = [&](std::size_t lane) {
+      return WorkerPool::split(static_cast<std::size_t>(n), lanes_, lane);
     };
 
-    // Messages from earlier rounds whose delivery jitter expires now.  A
-    // slot is fully drained before any message can land in it again (delay
-    // is at most max_extra_delay = ring - 1).  This runs before the send
-    // phase — process code emits no observable events, draws no randomness
-    // and reads no history, so draining first is behavior-identical to the
-    // old drain-after-send order while letting the send phase stream.
-    {
-      FlightSlot& due = in_flight_slots_[static_cast<std::size_t>(r) % ring];
-      for (std::size_t i = 0; i < due.used; ++i) {
-        InFlight& flight = due.pool[i];
-        resolve(std::move(flight.message), flight.sent_round,
-                flight.sender_influence, flight.flow_id);
-      }
-      in_flight_count_ -= static_cast<int>(due.used);
-      due.used = 0;  // entries stay constructed; re-arming recycles them
-    }
-
     // Can this round take the everything-delivers fast path?  Requires: no
-    // recording or tracing (nothing to emit per message), zero jitter with
-    // nothing in flight (every send resolves now), no omission rules in any
+    // recording or tracing (nothing to emit per message), zero jitter (every
+    // send resolves now and nothing is in flight), no omission rules in any
     // plan (no drops, no RNG draws), and every process alive and unhalted
-    // at round start (the only liveness facts the send/resolve path reads).
-    // Under those facts the slow path below delivers every message in the
+    // at round start (the only liveness facts the fate pass reads).  Under
+    // those facts the slow path below delivers every message in the
     // identical sender-then-destination order with zero side channels, so
     // the fast path is behavior-identical by construction.
     bool fast_round = false;
     if constexpr (!kTraced && !kRecordSends) {
-      if (config_.max_extra_delay == 0 && in_flight_count_ == 0 &&
-          !any_rules_) {
+      if (config_.max_extra_delay == 0 && !any_rules_) {
         fast_round = true;
         for (ProcessId p = 0; p < n; ++p) {
           if (!rec.alive[p] || rec.halted[p]) {
@@ -453,88 +345,52 @@ void SyncSimulator::run_rounds_impl(int k) {
 
     bool fast_delivered = false;
     if (fast_round) {
-      // Collection: each sender logs its traffic (broadcasts stored once).
-      fast_log_.clear();
-      if (par) {
-        // Lanes collect contiguous sender ranges into private logs;
-        // concatenating in lane order reproduces the serial id-ascending
-        // log exactly (each lane walks its own range in id order).
-        run_lanes([&](std::size_t lane) {
-          EngineLane& el = engine_lanes_[lane];
-          el.fast_log.clear();
-          const auto [lo, hi] =
-              WorkerPool::split(static_cast<std::size_t>(n), lanes_, lane);
-          for (std::size_t p = lo; p < hi; ++p) {
-            FastOutboxImpl out(static_cast<ProcessId>(p), n, &el.fast_log);
-            processes_[p]->begin_round(out);
-          }
-        });
-        for (EngineLane& el : engine_lanes_) {
-          for (FastSend& e : el.fast_log) fast_log_.push_back(std::move(e));
-          el.fast_log.clear();
-        }
-      } else {
-        for (ProcessId p = 0; p < n; ++p) {
-          FastOutboxImpl out(p, n, &fast_log_);
+      // Collection: lanes log their contiguous sender ranges (broadcasts
+      // stored once); the lane logs in lane order are the id-ascending
+      // send log.
+      run_lanes([&](std::size_t lane) {
+        EngineLane& el = engine_lanes_[lane];
+        const auto [lo, hi] = owned(lane);
+        for (std::size_t p = lo; p < hi; ++p) {
+          FastOutboxImpl out(static_cast<ProcessId>(p), n, &el.fast_log);
           processes_[p]->begin_round(out);
         }
-      }
-      bool broadcast_only = true;
-      for (const FastSend& e : fast_log_) {
-        if (e.dest != kBroadcastDest) {
-          broadcast_only = false;
-          break;
-        }
-      }
+      });
+      const bool broadcast_only = std::all_of(
+          engine_lanes_.begin(), engine_lanes_.end(), [](const EngineLane& el) {
+            return std::all_of(
+                el.fast_log.begin(), el.fast_log.end(),
+                [](const FastSend& e) { return e.dest == kBroadcastDest; });
+          });
       if (broadcast_only) {
         // Destination-major delivery: every destination receives the same
         // sender-ascending broadcast sequence, so ONE n-sized scratch
-        // inbox serves all n transitions — only the 4-byte dest field is
-        // retargeted per destination, keeping the delivery working set
-        // cache-resident instead of materializing n^2 Messages.  Within a
+        // inbox per lane serves all of the lane's transitions — only the
+        // 4-byte dest field is retargeted per destination, keeping the
+        // delivery working set cache-resident instead of materializing n^2
+        // Messages.  Each lane builds its private inbox from every lane's
+        // log (COW payloads — refcount bumps, not deep copies).  Within a
         // round the closure unions commute (send snapshots are pinned by
         // begin_round), so dest-major instead of sender-major delivery
         // leaves influence_, and therefore every later observable,
-        // unchanged.
-        fast_inbox_.clear();
-        for (FastSend& e : fast_log_) {
-          fast_inbox_.push_back(Message{e.sender, 0, std::move(e.payload)});
-        }
-        if (par) {
-          // Destination-partitioned delivery: each lane takes a private
-          // copy of the scratch inbox (COW payloads — refcount bumps, not
-          // deep copies) because the dest field is retargeted per
-          // destination and cannot be shared across lanes.  Closure
-          // updates go through the lane-local API; a destination's
-          // saturation within the round can only come from deliveries to
-          // it, all of which this lane performs, so saturated_lane sees
-          // exactly what the serial loop's saturated() would.
-          run_lanes([&](std::size_t lane) {
-            EngineLane& el = engine_lanes_[lane];
-            el.fast_inbox = fast_inbox_;
-            const auto [lo, hi] =
-                WorkerPool::split(static_cast<std::size_t>(n), lanes_, lane);
-            for (std::size_t qi = lo; qi < hi; ++qi) {
-              const ProcessId q = static_cast<ProcessId>(qi);
-              for (Message& m : el.fast_inbox) m.dest = q;
-              if (!causality_.saturated_lane(q, el.causality)) {
-                for (const Message& m : el.fast_inbox) {
-                  causality_.deliver_snapshot_lane(
-                      causality_.send_snapshot(m.sender), q, el.causality);
-                }
-              }
-              if (!processes_[q]->halted()) {
-                processes_[q]->end_round(el.fast_inbox);
-              }
+        // unchanged.  A destination's saturation within the round can only
+        // come from deliveries to it, all of which its own lane performs,
+        // so saturated_lane sees every earlier delivery.
+        run_lanes([&](std::size_t lane) {
+          EngineLane& el = engine_lanes_[lane];
+          for (const EngineLane& src : engine_lanes_) {
+            for (const FastSend& e : src.fast_log) {
+              el.fast_inbox.push_back(Message{e.sender, 0, e.payload});
             }
-          });
-        } else {
-          for (ProcessId q = 0; q < n; ++q) {
-            for (Message& m : fast_inbox_) m.dest = q;
-            if (!causality_.saturated(q)) {
-              for (const Message& m : fast_inbox_) {
-                causality_.deliver_snapshot(causality_.send_snapshot(m.sender),
-                                            q);
+          }
+          const auto [lo, hi] = owned(lane);
+          for (std::size_t qi = lo; qi < hi; ++qi) {
+            const ProcessId q = static_cast<ProcessId>(qi);
+            for (Message& m : el.fast_inbox) m.dest = q;
+            if (!causality_.saturated_lane(q, el.causality)) {
+              for (const Message& m : el.fast_inbox) {
+                causality_.deliver_snapshot_lane(
+                    causality_.send_snapshot(m.sender), q, el.causality);
               }
             }
             // A process that halted during its own begin_round still gets
@@ -542,47 +398,147 @@ void SyncSimulator::run_rounds_impl(int k) {
             // transition, exactly as the receive phase below would treat
             // it.
             if (!processes_[q]->halted()) {
-              processes_[q]->end_round(fast_inbox_);
+              processes_[q]->end_round(el.fast_inbox);
             }
           }
-        }
-        // Release this round's payload references now rather than at the
-        // next round's clear(): a process that reuses its broadcast payload
-        // across rounds (RoundAgreementProcess::begin_round) then finds the
-        // node unshared and updates it in place instead of cloning it.
-        fast_inbox_.clear();
-        for (EngineLane& el : engine_lanes_) el.fast_inbox.clear();
+        });
         fast_delivered = true;
       } else {
-        // Mixed targeted sends: replay the log in send order, streaming
+        // Mixed targeted sends: replay the logs in send order, streaming
         // each delivery into the per-destination inboxes; the receive
         // phase below runs as usual.
-        for (FastSend& e : fast_log_) {
-          const ProcessSet& snap = causality_.send_snapshot(e.sender);
-          if (e.dest == kBroadcastDest) {
-            for (ProcessId q = 0; q < n; ++q) {
-              causality_.deliver_snapshot(snap, q);
-              inbox_[q].push_back(Message{e.sender, q, e.payload});
+        for (EngineLane& el : engine_lanes_) {
+          for (FastSend& e : el.fast_log) {
+            const ProcessSet& snap = causality_.send_snapshot(e.sender);
+            if (e.dest == kBroadcastDest) {
+              for (ProcessId q = 0; q < n; ++q) {
+                causality_.deliver_snapshot(snap, q);
+                inbox_[q].push_back(Message{e.sender, q, e.payload});
+              }
+            } else {
+              causality_.deliver_snapshot(snap, e.dest);
+              inbox_[e.dest].push_back(
+                  Message{e.sender, e.dest, std::move(e.payload)});
             }
-          } else {
-            causality_.deliver_snapshot(snap, e.dest);
-            inbox_[e.dest].push_back(
-                Message{e.sender, e.dest, std::move(e.payload)});
           }
         }
       }
-    } else if (par) {
-      // Send phase, parallel: senders are processed in blocks, bounding the
-      // collected scratch at O(block * n) messages (the serial streaming
-      // path holds O(n)).  Within a block: (C1) lanes run begin_round for
-      // contiguous sender subranges into private outboxes; (C2) a SERIAL
-      // fate pass walks the collected messages in exact sender-major order
+      // Release this round's payload references now rather than at the
+      // next round's collection: a process that reuses its broadcast
+      // payload across rounds (RoundAgreementProcess::begin_round) then
+      // finds the node unshared and updates it in place instead of cloning
+      // it.
+      for (EngineLane& el : engine_lanes_) {
+        el.fast_log.clear();
+        el.fast_inbox.clear();
+      }
+    } else {
+      // Send phase.  The fate pass buckets each message for the fill phase
+      // (C3) by destination owner, with its slot in the block's rec.sends
+      // tail.  The recording-off engine buckets only deliveries: a dropped
+      // message has nothing left to record or deliver.
+      std::size_t base = 0;
+      std::uint32_t slots = 0;
+      const auto bucket = [&](Message& m, Round sent_round,
+                              const ProcessSet& influence, int fate) {
+        std::uint32_t slot = std::numeric_limits<std::uint32_t>::max();
+        if constexpr (kRecordSends) {
+          slot = slots++;
+        } else if (fate != kFateDelivered) {
+          return;
+        }
+        engine_lanes_[dest_lane_[m.dest]].deliveries.push_back(
+            EngineLane::Delivery{&m, &influence, sent_round, slot,
+                                 static_cast<std::uint8_t>(fate)});
+      };
+      // A message's fate at its delivery round r — crash, receive omission
+      // or delivery — for drained in-flight messages and zero-delay sends
+      // alike.
+      const auto decide = [&](Message& m, Round sent_round,
+                              const ProcessSet& influence,
+                              std::int64_t flow_id) {
+        int fate = kFateDelivered;
+        const char* cause = "";
+        if (!rec.alive[m.dest]) {
+          fate = kFateDestCrashed;
+          cause = "dest-crashed";
+        } else if (has_recv_rules_[m.dest] &&
+                   receive_dropped(m.sender, m.dest, r)) {
+          fate = kFateDroppedByReceiver;
+          cause = "receive-omission";
+          mark_faulty(m.dest, r, cause);
+        }
+        if constexpr (kTraced) {
+          trace_message(fate == kFateDelivered ? TraceEventKind::kDeliver
+                                               : TraceEventKind::kDrop,
+                        r, m.sender, m.dest, sent_round, cause, flow_id);
+        }
+        bucket(m, sent_round, influence, fate);
+      };
+      // C3: size the block's record tail, then let lanes fill their slots
+      // and deliver.  A destination's messages all live in one lane and
+      // each lane's bucket is already in fate-pass order, so inbox contents
+      // and order are independent of the lane count.
+      const auto fill = [&] {
+        if constexpr (kRecordSends) rec.sends.resize(base + slots);
+        run_lanes([&](std::size_t lane) {
+          EngineLane& el = engine_lanes_[lane];
+          for (const EngineLane::Delivery& d : el.deliveries) {
+            Message& m = *d.message;
+            if constexpr (kRecordSends) {
+              SendRecord& sr = rec.sends[base + d.slot];
+              sr.sender = m.sender;
+              sr.dest = m.dest;
+              sr.sent_round = d.sent_round;
+              sr.delivery_round = r;
+              if (config_.record_states) sr.payload = m.payload;
+              if (d.fate == kFateDroppedBySender) {
+                sr.dropped_by_sender = true;
+              } else if (d.fate == kFateDestCrashed) {
+                sr.dest_crashed = true;
+              } else if (d.fate == kFateDroppedByReceiver) {
+                sr.dropped_by_receiver = true;
+              } else {
+                sr.delivered = true;
+              }
+            }
+            if (d.fate == kFateDelivered) {
+              causality_.deliver_snapshot_lane(*d.influence, m.dest,
+                                               el.causality);
+              inbox_[m.dest].push_back(std::move(m));
+            }
+          }
+          el.deliveries.clear();
+        });
+        base = rec.sends.size();
+        slots = 0;
+      };
+
+      // Messages from earlier rounds whose delivery jitter expires now
+      // form the round's first block, ahead of every fresh send, so their
+      // records and deliveries come first; filling them at once, while the
+      // entries are cache-hot, beats carrying them into the first send
+      // block.  A slot is fully drained before any message can land in it
+      // again (delay is at most max_extra_delay = ring - 1).
+      FlightSlot& due = in_flight_slots_[static_cast<std::size_t>(r) % ring];
+      for (std::size_t i = 0; i < due.used; ++i) {
+        InFlight& flight = due.pool[i];
+        decide(flight.message, flight.sent_round, flight.sender_influence,
+               flight.flow_id);
+      }
+      if (due.used != 0) fill();
+      in_flight_count_ -= static_cast<int>(due.used);
+      due.used = 0;  // entries stay constructed; re-arming recycles them
+
+      // Senders run in blocks, bounding the collected scratch at
+      // O(block * n) messages.  Within a block: (C1) lanes run begin_round
+      // for contiguous sender subranges into private outboxes; (C2) the
+      // serial fate pass walks the collected messages in sender-major order
       // — lane concatenation order IS sender order, since lanes own
-      // ascending contiguous ranges — so every RNG draw, fault
-      // manifestation, in-flight enqueue and SendRecord slot assignment
-      // replicates the serial path bit-for-bit; (C3) lanes fill their
-      // pre-assigned record slots, apply lane-local closure updates and
-      // push inbox deliveries for the destinations they own.
+      // ascending contiguous ranges — emitting each message's trace events
+      // (send, then its drop or delivery, or nothing until a delayed
+      // message drains) and making every RNG draw, fault manifestation,
+      // in-flight enqueue and SendRecord slot assignment; (C3) fill.
       const int block = static_cast<int>(std::max(32u, 4u * lanes_));
       for (int s0 = 0; s0 < n; s0 += block) {
         const int s1 = std::min(n, s0 + block);
@@ -595,187 +551,67 @@ void SyncSimulator::run_rounds_impl(int k) {
             const ProcessId p =
                 static_cast<ProcessId>(s0 + static_cast<int>(i));
             if (!rec.alive[p] || processes_[p]->halted()) continue;
-            OutboxImpl out(p, n, &el.outbox);
+            CollectOutbox out(p, n, &el.outbox);
             processes_[p]->begin_round(out);
           }
         });
 
-        const std::size_t base = rec.sends.size();
-        std::size_t slots = 0;
-        dropped_sends_.clear();
-        for (unsigned lane = 0; lane < lanes_; ++lane) {
-          for (Message& m : engine_lanes_[lane].outbox) {
+        for (EngineLane& el : engine_lanes_) {
+          for (Message& m : el.outbox) {
+            std::int64_t fid = -1;
+            if constexpr (kTraced) {
+              fid = next_flow_id_++;
+              trace_message(TraceEventKind::kSend, r, m.sender, m.dest, 0, "",
+                            fid);
+            }
+            const ProcessSet& influence = causality_.send_snapshot(m.sender);
             if (has_send_rules_[m.sender] &&
                 send_dropped(m.sender, m.dest, r)) {
-              if constexpr (kRecordSends) {
-                dropped_sends_.emplace_back(
-                    &m, static_cast<std::uint32_t>(slots++));
-              }
               mark_faulty(m.sender, r, "send-omission");
+              if constexpr (kTraced) {
+                trace_message(TraceEventKind::kDrop, r, m.sender, m.dest, r,
+                              "send-omission", fid);
+              }
+              bucket(m, r, influence, kFateDroppedBySender);
               continue;
             }
+            // Remote messages may be delayed; self-deliveries never are.
             const int delay =
                 (config_.max_extra_delay > 0 && m.sender != m.dest)
                     ? static_cast<int>(
                           rng_.uniform(0, config_.max_extra_delay))
                     : 0;
-            if (delay != 0) {
-              FlightSlot& slot = in_flight_slots_[static_cast<std::size_t>(
-                                                      r + delay) %
-                                                  ring];
-              if (slot.used < slot.pool.size()) {
-                InFlight& f = slot.pool[slot.used];
-                f.sender_influence = causality_.send_snapshot(m.sender);
-                f.message = std::move(m);
-                f.sent_round = r;
-                f.flow_id = -1;
-              } else {
-                slot.pool.push_back(
-                    InFlight{std::move(m), r,
-                             causality_.send_snapshot(m.sender), -1});
-              }
-              ++slot.used;
-              ++in_flight_count_;
+            if (delay == 0) {
+              decide(m, r, influence, fid);
               continue;
             }
-            std::uint8_t fate = kFateDelivered;
-            if (!rec.alive[m.dest]) {
-              fate = kFateDestCrashed;
-            } else if (has_recv_rules_[m.dest] &&
-                       receive_dropped(m.sender, m.dest, r)) {
-              fate = kFateRecvDropped;
-              mark_faulty(m.dest, r, "receive-omission");
-            }
-            std::uint32_t slot_index =
-                std::numeric_limits<std::uint32_t>::max();
-            if constexpr (kRecordSends) {
-              slot_index = static_cast<std::uint32_t>(slots++);
-            }
-            engine_lanes_[dest_lane_[m.dest]].deliveries.push_back(
-                EngineLane::Delivery{&m, slot_index, fate});
-          }
-        }
-
-        // C3: size the block's record tail, fill the sender-dropped
-        // records serially (they were never bucketed to a lane), then let
-        // lanes fill their slots and deliver.  A destination's messages
-        // all live in one lane and each lane's bucket is already in global
-        // send order, so inbox contents and order match the serial path.
-        if constexpr (kRecordSends) {
-          rec.sends.resize(base + slots);
-          for (const auto& [message, slot_index] : dropped_sends_) {
-            SendRecord& sr = rec.sends[base + slot_index];
-            sr.sender = message->sender;
-            sr.dest = message->dest;
-            sr.sent_round = r;
-            sr.delivery_round = r;
-            if (config_.record_states) sr.payload = message->payload;
-            sr.dropped_by_sender = true;
-          }
-        }
-        run_lanes([&](std::size_t lane) {
-          EngineLane& el = engine_lanes_[lane];
-          for (const EngineLane::Delivery& d : el.deliveries) {
-            Message& m = *d.message;
-            if constexpr (kRecordSends) {
-              SendRecord& sr = rec.sends[base + d.slot];
-              sr.sender = m.sender;
-              sr.dest = m.dest;
-              sr.sent_round = r;
-              sr.delivery_round = r;
-              if (config_.record_states) sr.payload = m.payload;
-              if (d.fate == kFateDestCrashed) {
-                sr.dest_crashed = true;
-              } else if (d.fate == kFateRecvDropped) {
-                sr.dropped_by_receiver = true;
-              } else {
-                sr.delivered = true;
-              }
-            }
-            if (d.fate == kFateDelivered) {
-              causality_.deliver_snapshot_lane(
-                  causality_.send_snapshot(m.sender), m.dest, el.causality);
-              inbox_[m.dest].push_back(std::move(m));
-            }
-          }
-          el.deliveries.clear();
-        });
-      }
-    } else {
-      // Send phase, streamed sender-by-sender in id order: each live,
-      // non-halted process fills the shared outbox scratch and its messages
-      // resolve immediately (send-omission faults apply now; remote messages
-      // may be delayed, self-deliveries never are).  Message order, RNG draw
-      // order and trace order are exactly the old collect-then-resolve
-      // order's, without ever materializing all n^2 messages.
-      for (ProcessId p = 0; p < n; ++p) {
-        if (!rec.alive[p] || processes_[p]->halted()) continue;
-        outgoing_.clear();
-        OutboxImpl out(p, n, &outgoing_);
-        processes_[p]->begin_round(out);
-        for (auto& m : outgoing_) {
-          std::int64_t fid = -1;
-          if constexpr (kTraced) {
-            fid = next_flow_id_++;
-            trace_message(TraceEventKind::kSend, r, m.sender, m.dest, 0, "",
-                          fid);
-          }
-          if (has_send_rules_[m.sender] && send_dropped(m.sender, m.dest, r)) {
-            if constexpr (kRecordSends) {
-              SendRecord sr;
-              sr.sender = m.sender;
-              sr.dest = m.dest;
-              sr.sent_round = r;
-              sr.delivery_round = r;
-              if (config_.record_states) sr.payload = m.payload;
-              sr.dropped_by_sender = true;
-              rec.sends.push_back(std::move(sr));
-            }
-            mark_faulty(m.sender, r, "send-omission");
-            if constexpr (kTraced) {
-              trace_message(TraceEventKind::kDrop, r, m.sender, m.dest, r,
-                            "send-omission", fid);
-            }
-            continue;
-          }
-          const int delay =
-              (config_.max_extra_delay > 0 && m.sender != m.dest)
-                  ? static_cast<int>(rng_.uniform(0, config_.max_extra_delay))
-                  : 0;
-          if (delay == 0) {
-            resolve(std::move(m), r, causality_.send_snapshot(m.sender), fid);
-          } else {
             FlightSlot& slot =
                 in_flight_slots_[static_cast<std::size_t>(r + delay) % ring];
             if (slot.used < slot.pool.size()) {
               // Recycle a drained entry: assignment reuses its ProcessSet
               // heap words and Message storage instead of reallocating.
               InFlight& f = slot.pool[slot.used];
-              f.sender_influence = causality_.send_snapshot(m.sender);
+              f.sender_influence = influence;
               f.message = std::move(m);
               f.sent_round = r;
               f.flow_id = fid;
             } else {
-              slot.pool.push_back(InFlight{std::move(m), r,
-                                           causality_.send_snapshot(m.sender),
-                                           fid});
+              slot.pool.push_back(InFlight{std::move(m), r, influence, fid});
             }
             ++slot.used;
             ++in_flight_count_;
           }
         }
+        fill();
       }
     }
 
     // Receive/transition phase (already folded into the destination-major
-    // loop on a fast broadcast-only round).  The parallel arm partitions
-    // destinations by lane and mirrors the serial loop exactly; every
-    // inbox was filled identically (drain order, then block order), so
-    // each transition sees the same message sequence either way.
-    if (par && !fast_delivered) {
+    // loop on a fast broadcast-only round), partitioned by destination:
+    // every inbox was filled in drain order, then block order.
+    if (!fast_delivered) {
       run_lanes([&](std::size_t lane) {
-        const auto [lo, hi] =
-            WorkerPool::split(static_cast<std::size_t>(n), lanes_, lane);
+        const auto [lo, hi] = owned(lane);
         for (std::size_t pi = lo; pi < hi; ++pi) {
           const ProcessId p = static_cast<ProcessId>(pi);
           auto& in = inbox_[p];
@@ -783,6 +619,10 @@ void SyncSimulator::run_rounds_impl(int k) {
             in.clear();
             continue;
           }
+          // Deliveries land in send order, which with zero jitter is
+          // strictly sender-ascending (the fate pass walks senders in id
+          // order); only a jittered configuration can interleave rounds,
+          // so only then does the order need checking at all.
           if (config_.max_extra_delay > 0) {
             const auto by_sender = [](const Message& a, const Message& b) {
               return a.sender < b.sender;
@@ -795,38 +635,12 @@ void SyncSimulator::run_rounds_impl(int k) {
           in.clear();
         }
       });
-    } else {
-      for (ProcessId p = 0; !fast_delivered && p < n; ++p) {
-        auto& in = inbox_[p];
-        if (!rec.alive[p] || processes_[p]->halted()) {
-          in.clear();
-          continue;
-        }
-        // Deliveries land in send order, which with zero jitter is strictly
-        // sender-ascending (the send phase streams senders in id order);
-        // only a jittered configuration can interleave rounds, so only then
-        // does the order need checking at all.
-        if (config_.max_extra_delay > 0) {
-          const auto by_sender = [](const Message& a, const Message& b) {
-            return a.sender < b.sender;
-          };
-          if (!std::is_sorted(in.begin(), in.end(), by_sender)) {
-            std::stable_sort(in.begin(), in.end(), by_sender);
-          }
-        }
-        processes_[p]->end_round(in);
-        in.clear();
-      }
     }
 
     // Fold lane-local causality staleness back into the shared bookkeeping
     // (fixed lane order; unions commute, so merge order is immaterial)
     // before the coterie reads it and the next begin_round consumes it.
-    if (par) {
-      for (EngineLane& el : engine_lanes_) {
-        causality_.merge_lane(el.causality);
-      }
-    }
+    for (EngineLane& el : engine_lanes_) causality_.merge_lane(el.causality);
 
     // Post-transition observations: adopted round variables and Π⁺
     // suspect-set deltas.

@@ -37,20 +37,21 @@ struct SyncConfig {
   // in the sending round.  Receive-omission faults are evaluated at the
   // delivery round; send-omission faults at the send round.
   int max_extra_delay = 0;
-  // Deterministic intra-round parallelism.  1 (the default) is exactly
-  // today's serial round loop.  k > 1 partitions each round's phases —
-  // send-phase collection, delivery/closure, and the receive/transition
-  // sweep — across k lanes of the shared WorkerPool by contiguous
-  // process-id ranges, with per-lane scratch merged back in ascending id
-  // order; every RNG draw, SendRecord, inbox ordering, causality update
-  // and therefore every history byte and pinned fingerprint is identical
-  // to the serial path's at any k (parallel_round_test pins this).
+  // Deterministic intra-round parallelism.  Every round runs one engine:
+  // its phases — send-phase collection, delivery/closure, and the
+  // receive/transition sweep — are partitioned across k lanes by
+  // contiguous process-id ranges, with per-lane scratch merged back in
+  // ascending id order, and every order-sensitive effect (RNG draws, fault
+  // manifestation, SendRecord slots, trace events) is decided in one serial
+  // sender-major fate pass.  k = 1 (the default) runs the single lane inline
+  // on the calling thread; k > 1 runs the lanes on the shared WorkerPool.
+  // Every history byte, trace tape and pinned fingerprint is identical at
+  // any k (parallel_round_test pins this), traced runs included.
   // 0 = inherit the process-wide default (set_sim_threads_default /
   // $FTSS_SIM_THREADS), which is how the trial drivers let one knob
   // parallelize every simulator they construct.  Clamped to the process
-  // count.  Attaching a trace sink forces the serial path: the tape must
-  // interleave per-message events in exact serial order, and the tracing
-  // transparency oracle already compares traced against untraced histories.
+  // count.  A simulator built inside a WorkerPool task (a parallel_sweep
+  // trial) runs its lanes inline via the pool's nested-call inlining.
   unsigned threads = 1;
 };
 
@@ -60,13 +61,14 @@ struct SyncConfig {
 unsigned sim_threads_default();
 void set_sim_threads_default(unsigned threads);
 
-// Wall-clock instrumentation hook for the parallel round engine: when
-// installed, every engine lane reports one (round, t0) span per parallel
-// phase it executes, on the worker thread that ran it.  The simulator sits
-// below the observability plane in the layering, so the hook is a pair of
-// raw function pointers (a clock and a sink) rather than a FlightRecorder
-// call; obs/flight.cc self-installs adapters mapping them onto per-thread
-// flight rings (FlightCat::kLane), which is what makes lane timing show up
+// Wall-clock instrumentation hook for the round engine: when installed,
+// every engine lane of a multi-lane simulator reports one (round, t0) span
+// per phase it executes, on the worker thread that ran it (a single lane
+// runs inline and reports none).  The simulator sits below the
+// observability plane in the layering, so the hook is a pair of raw
+// function pointers (a clock and a sink) rather than a FlightRecorder call;
+// obs/flight.cc self-installs adapters mapping them onto per-thread flight
+// rings (FlightCat::kLane), which is what makes lane timing show up
 // per-worker in flight dumps with zero sim -> obs dependency.
 struct SimLaneHooks {
   std::int64_t (*now)() = nullptr;                 // monotonic ns
@@ -111,7 +113,6 @@ class SyncSimulator {
   ProcessSet planned_faulty() const;
 
  private:
-  class OutboxImpl;
   class FastOutboxImpl;
 
   bool send_dropped(ProcessId s, ProcessId d, Round r);
@@ -122,8 +123,8 @@ class SyncSimulator {
   // time.  At n = 10^3+ the fan-out itself is the bottleneck — n^2 Message
   // constructions scattered over n growing inboxes is tens of MB of
   // cache-hostile traffic per round — so the fast path keeps the log
-  // n-sized and delivers destination-major through one shared scratch
-  // inbox that stays cache-resident.
+  // n-sized and delivers destination-major through one n-sized scratch
+  // inbox per lane that stays cache-resident.
   static constexpr ProcessId kBroadcastDest = -1;
   struct FastSend {
     ProcessId sender = 0;
@@ -160,35 +161,36 @@ class SyncSimulator {
   template <bool kTraced, bool kRecordSends>
   void run_rounds_impl(int k);
 
-  // --- Parallel round engine (lanes_ > 1) --------------------------------
+  // --- Round engine ------------------------------------------------------
   //
-  // Message fate in the parallel send phase: begin_round collection fans
-  // out across lanes (C1), a SERIAL fate pass walks the collected messages
-  // in exact sender-major order — every RNG draw, fault manifestation,
-  // in-flight enqueue and SendRecord slot index therefore matches the
-  // serial path bit-for-bit (C2) — and the lanes then fill their
-  // pre-assigned record slots, apply lane-local causality updates and push
-  // inbox deliveries for the destinations they own (C3).
-  static constexpr std::uint8_t kFateDelivered = 0;
-  static constexpr std::uint8_t kFateDestCrashed = 1;
-  static constexpr std::uint8_t kFateRecvDropped = 2;
+  // Message fate in the send phase: begin_round collection fans out across
+  // lanes (C1), a SERIAL fate pass walks the collected messages in exact
+  // sender-major order — every RNG draw, fault manifestation, trace event,
+  // in-flight enqueue and SendRecord slot index is therefore independent of
+  // the lane count (C2) — and the lanes then fill their pre-assigned record
+  // slots, apply lane-local causality updates and push inbox deliveries for
+  // the destinations they own (C3).  Fate codes are fate_schedule.h's.
   struct EngineLane {
     // Slow-path send collection: messages from this lane's contiguous
     // sender range, in sender-then-emission order.
     std::vector<Message> outbox;
     // Fate-resolved messages awaiting C3, bucketed by destination owner.
-    // `slot` is the message's offset into this block's rec.sends tail
-    // (uint32 max if records are off); pointers reference lane outboxes
-    // and stay valid for the block.
+    // `message` points into a lane outbox (a fresh send) or an in-flight
+    // slot (a drained one), `influence` at the sender's send-time snapshot;
+    // both stay valid until the block's C3 has run.  `slot` is the
+    // message's offset into this block's rec.sends tail (uint32 max if
+    // records are off).
     struct Delivery {
       Message* message;
+      const ProcessSet* influence;
+      Round sent_round;
       std::uint32_t slot;
       std::uint8_t fate;
     };
     std::vector<Delivery> deliveries;
-    // Fast-path scratch: per-lane collection log and a private copy of the
-    // shared broadcast inbox (only the dest field is retargeted per
-    // destination, so lanes cannot share one).
+    // Fast-path scratch: per-lane collection log and a private scratch
+    // inbox holding every lane's broadcasts (only the dest field is
+    // retargeted per destination, so lanes cannot share one).
     std::vector<FastSend> fast_log;
     std::vector<Message> fast_inbox;
     CausalityTracker::Lane causality;
@@ -196,9 +198,6 @@ class SyncSimulator {
   unsigned lanes_ = 1;  // config_.threads resolved and clamped
   std::vector<EngineLane> engine_lanes_;
   std::vector<std::uint8_t> dest_lane_;  // owner lane of each destination
-  // Fate-pass scratch: sender-omission-dropped messages and their record
-  // slots, filled serially after the block's rec.sends tail is sized.
-  std::vector<std::pair<Message*, std::uint32_t>> dropped_sends_;
 
   SyncConfig config_;
   Rng rng_;
@@ -222,16 +221,7 @@ class SyncSimulator {
   };
   std::vector<FlightSlot> in_flight_slots_;
   int in_flight_count_ = 0;  // total messages currently in flight
-  // Per-sender outbox scratch, cleared-not-reallocated: the send phase
-  // streams one sender's messages to resolution before the next sender
-  // runs, so peak scratch is O(n) messages, not the O(n^2) a whole-round
-  // outgoing buffer held.
-  std::vector<Message> outgoing_;
   std::vector<std::vector<Message>> inbox_;  // per destination
-  // Fast-path round log and shared delivery scratch (see FastSend); both
-  // keep their capacity across rounds.
-  std::vector<FastSend> fast_log_;
-  std::vector<Message> fast_inbox_;
   // Per-process omission-rule presence, frozen at the first run_rounds call:
   // lets the per-message path skip the rule-scan calls entirely for the
   // (typical) processes with no omission faults planned.  Behavior-neutral:
@@ -240,11 +230,11 @@ class SyncSimulator {
   std::vector<std::uint8_t> has_recv_rules_;
   // Any process at all has omission rules.  When false (with recording and
   // tracing off, zero jitter, and every process alive and unhalted this
-  // round) the send phase takes a fast path that streams each delivery
-  // straight into the destination inbox — no per-message fault checks, no
-  // outbox scratch, no SendRecord plumbing.  Behavior-identical: on such a
-  // round every message is delivered, in the same sender-then-dest order,
-  // with no RNG draws and nothing recorded either way.
+  // round) the send phase takes the fast path: broadcasts are logged once
+  // and delivered destination-major — no per-message fault checks, no fate
+  // pass, no SendRecord plumbing.  Behavior-identical: on such a round every
+  // message is delivered, in the same sender-then-dest order, with no RNG
+  // draws and nothing recorded either way.
   bool any_rules_ = false;
   ProcessSet correct_;  // non-manifested processes, rebuilt each round
   // Synthetic lost_in_flight records appended to the final round's sends

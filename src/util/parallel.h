@@ -8,8 +8,7 @@
 // WorkerPool::shared(), the same persistent pool the SyncSimulator round
 // engine uses.  Simulations may themselves be parallel (SyncConfig::threads)
 // — determinism is preserved at both levels, and a simulator running inside
-// a sweep trial degrades gracefully to its serial path via the pool's
-// nested-call inlining.
+// a sweep trial runs its lanes inline via the pool's nested-call inlining.
 #pragma once
 
 #include <algorithm>

@@ -43,6 +43,10 @@ unsigned WorkerPool::lanes() const {
 }
 
 void WorkerPool::ensure_lanes(unsigned lanes) {
+  // Inside a task the posting run_batch holds post_mu_ for the whole batch,
+  // so taking it here would deadlock; and nested run_tasks calls run
+  // inline, so there is nothing to grow for.
+  if (on_pool_thread()) return;
   // post_mu_ keeps growth out of any in-flight batch: a thread spawned
   // mid-batch could otherwise register with generation_ == the live batch's
   // and skip it while run_batch counts it as draining.

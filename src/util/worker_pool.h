@@ -46,7 +46,8 @@ class WorkerPool {
   // already large enough.  Lets a SyncConfig::threads = 8 simulator get
   // real concurrency even when the shared pool was sized to fewer cores.
   // Like the constructor, returns only once every new worker is ready to
-  // take part in the next batch.
+  // take part in the next batch.  A no-op when called from inside a pool
+  // task, where nested batches run inline anyway.
   void ensure_lanes(unsigned lanes);
 
   // Contiguous, gap-free, exhaustive split of [0, count) into `tasks`

@@ -4,10 +4,11 @@
 // lane count: clock/coterie/faulty columns, SendRecords, causality results
 // and every downstream fingerprint must not move when a round's phases run
 // on 2 or 8 lanes instead of inline.  This suite pins that contract three
-// ways: the golden-fingerprint constants re-asserted at threads ∈ {1,2,8},
-// full history-dump equality on both the broadcast fast path and the
-// fault/jitter slow path, and the explorer's aggregate fingerprint under a
-// process-wide lane default.  A flight-recorder stress test dumps the ring
+// ways: the golden-fingerprint constants, traced tapes included, re-asserted
+// at threads ∈ {1,2,8}; full history-dump equality on both the broadcast
+// fast path and the fault/jitter slow path; and the explorer's aggregate
+// fingerprint under a process-wide lane default, with the sweep on one job
+// and on two.  A flight-recorder stress test dumps the ring
 // mid-run while lanes record — the TSan CI leg runs this suite to prove the
 // engine shares nothing without a happens-before edge.
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 
 #include "check/explorer.h"
 #include "obs/flight.h"
+#include "obs/trace.h"
 #include "sim/history_dump.h"
 #include "sim/simulator.h"
 #include "test_util.h"
@@ -49,15 +51,18 @@ std::uint64_t fnv(std::uint64_t h, std::string_view s) {
 
 constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 
-// Same folding as golden_fingerprint_test.cc's untraced sync_fingerprint:
-// verbose history dump + metrics fingerprint + oracle violations.  The
-// constants asserted below are the exact pins from that suite, so a lane
-// count that perturbs anything observable fails against the serial truth.
-std::uint64_t sync_fingerprint(const TrialPlan& plan) {
+// Same folding as golden_fingerprint_test.cc's sync_fingerprint: verbose
+// history dump + metrics fingerprint + oracle violations, plus the JSONL
+// trace tape for traced cases.  The constants asserted below are the exact
+// pins from that suite, so a lane count that perturbs anything observable,
+// trace events included, fails against the one-lane truth.
+std::uint64_t sync_fingerprint(const TrialPlan& plan, bool traced) {
+  JsonlTraceSink sink;
   TrialRunOptions options;
   options.record_states = true;
   History history;
   options.history_out = &history;
+  if (traced) options.trace = &sink;
   const TrialResult result = run_trial(plan, options);
 
   DumpOptions dump;
@@ -67,6 +72,7 @@ std::uint64_t sync_fingerprint(const TrialPlan& plan) {
   fp = fnv(fp, history_to_string(history, dump));
   fp = fnv(fp, std::to_string(result.metrics.fingerprint()));
   for (const auto& v : result.evaluation.violations) fp = fnv(fp, v.oracle);
+  if (traced) fp = fnv(fp, sink.to_string());
   return fp;
 }
 
@@ -103,11 +109,12 @@ TrialPlan jitter_plan(std::uint64_t seed, int n, int max_extra_delay) {
   return plan;
 }
 
-TrialPlan compiled_plan(std::uint64_t seed, int n, int f, int max_extra_delay) {
+TrialPlan compiled_plan(std::uint64_t seed, const std::string& protocol, int n,
+                        int f, int max_extra_delay) {
   TrialPlan plan;
   plan.trial_seed = seed;
   plan.mode = TrialMode::kCompiled;
-  plan.protocol = "floodset-consensus";
+  plan.protocol = protocol;
   plan.n = n;
   plan.f_budget = f;
   plan.rounds = 36;
@@ -127,22 +134,36 @@ TrialPlan compiled_plan(std::uint64_t seed, int n, int f, int max_extra_delay) {
   return plan;
 }
 
+// Traced cases take the lanes too: the fate pass emits every per-message
+// event, so the tape must not depend on the lane count either.
 TEST(ParallelRound, PinnedFingerprintsIdenticalAtAnyLaneCount) {
   struct Case {
     const char* name;
     TrialPlan plan;
+    bool traced;
     std::uint64_t want;
   };
   const Case cases[] = {
-      {"sync/n4/seed7", sync_plan(7, 4), 0xc9eed893f838c016},
-      {"jitter/n4/d2/seed11", jitter_plan(11, 4, 2), 0x356d9460bf79b1e6},
-      {"compiled/floodset/n8/f2/d1/seed9", compiled_plan(9, 8, 2, 1),
+      {"sync/n4/seed7", sync_plan(7, 4), false, 0xc9eed893f838c016},
+      {"sync/n4/seed7/traced", sync_plan(7, 4), true, 0xa88e386fb597faae},
+      {"jitter/n4/d2/seed11", jitter_plan(11, 4, 2), false,
+       0x356d9460bf79b1e6},
+      {"jitter/n4/d2/seed11/traced", jitter_plan(11, 4, 2), true,
+       0xceecf8df6be581b6},
+      {"compiled/floodset/n4/f1/seed5/traced",
+       compiled_plan(5, "floodset-consensus", 4, 1, 0), true,
+       0x1d9416d9253c4bff},
+      {"compiled/floodset/n8/f2/d1/seed9",
+       compiled_plan(9, "floodset-consensus", 8, 2, 1), false,
        0xd386235ad0028cfb},
+      {"compiled/rbcast/n5/f2/d2/seed17",
+       compiled_plan(17, "reliable-broadcast", 5, 2, 2), true,
+       0x1403bbc0c46ddc95},
   };
   for (unsigned threads : {1u, 2u, 8u}) {
     SimThreadsGuard guard(threads);
     for (const Case& c : cases) {
-      const std::uint64_t got = sync_fingerprint(c.plan);
+      const std::uint64_t got = sync_fingerprint(c.plan, c.traced);
       EXPECT_EQ(got, c.want) << c.name << " at threads=" << threads
                              << " fingerprint 0x" << std::hex << got;
     }
@@ -150,7 +171,7 @@ TEST(ParallelRound, PinnedFingerprintsIdenticalAtAnyLaneCount) {
 }
 
 // Broadcast fast path (no recording, no faults, no jitter): destination-
-// partitioned lanes with private scratch inboxes must reproduce the serial
+// partitioned lanes with private scratch inboxes must reproduce the one-lane
 // destination-major loop's history exactly.  n is chosen so 8 lanes each own
 // several destinations and the id-range split has ragged edges.
 TEST(ParallelRound, FastPathHistoryIdenticalAcrossLaneCounts) {
@@ -314,11 +335,39 @@ TEST(ParallelRound, ExplorerAggregateUnchangedByLaneDefault) {
       << "metrics fingerprint 0x" << std::hex << report.metrics.fingerprint();
 }
 
+// The same pins with the sweep itself on two jobs: every trial simulator
+// is built inside a pool task and asks for two lanes.  Building one must
+// not wait on the sweep's own batch, and its lanes run inline.
+TEST(ParallelRound, LaneSimulatorsNestedInSweep) {
+  SimThreadsGuard guard(2);
+  ExplorerConfig config;
+  config.seed = 42;
+  config.trials = 60;
+  config.jobs = 2;
+  config.shrink = false;
+  const ExplorerReport report = explore(config);
+  EXPECT_EQ(report.fingerprint, 0xa6e279165f653846ULL)
+      << "explorer fingerprint 0x" << std::hex << report.fingerprint;
+  EXPECT_EQ(report.metrics.fingerprint(), 0xebdc28eb4e182790ULL)
+      << "metrics fingerprint 0x" << std::hex << report.metrics.fingerprint();
+}
+
 TEST(ParallelRound, ThreadsDefaultSetterClampsZeroToSerial) {
   SimThreadsGuard guard(4);
   EXPECT_EQ(sim_threads_default(), 4u);
   set_sim_threads_default(0);
   EXPECT_EQ(sim_threads_default(), 1u);
+}
+
+// kLane spans currently held by every thread's flight ring.
+int lane_span_count() {
+  int count = 0;
+  for (const FlightThreadDump& t : FlightRecorder::global().dump().threads) {
+    for (const FlightEvent& e : t.events) {
+      if (e.cat == static_cast<std::uint16_t>(FlightCat::kLane)) ++count;
+    }
+  }
+  return count;
 }
 
 // Flight-recorder stress: dump the global ring repeatedly while a parallel
@@ -362,17 +411,27 @@ TEST(ParallelRound, FlightDumpWhileLanesRecord) {
   if (FlightRecorder::global().enabled()) {
     // The obs layer self-installs the lane hooks; a threads=8 run must have
     // left kLane spans behind (any ring — lanes land on pool threads).
-    const FlightDump after = FlightRecorder::global().dump();
-    int lane_events = 0;
-    for (const FlightThreadDump& t : after.threads) {
-      for (const FlightEvent& e : t.events) {
-        if (e.cat == static_cast<std::uint16_t>(FlightCat::kLane)) {
-          ++lane_events;
-        }
-      }
-    }
-    EXPECT_GT(lane_events, 0) << "lane hooks installed but no spans recorded";
+    EXPECT_GT(lane_span_count(), 0)
+        << "lane hooks installed but no spans recorded";
   }
+}
+
+// A one-lane simulator runs every phase inline on the calling thread: it
+// records no kLane spans, so per-trial flight rings are not flooded with
+// per-phase events, on the fast path and the recorded jitter path alike.
+TEST(ParallelRound, OneLaneRecordsNoLaneSpans) {
+  const int before = lane_span_count();
+  SyncSimulator fast(SyncConfig{.seed = 2,
+                                .record_states = false,
+                                .record_sends = false,
+                                .threads = 1},
+                     testing::round_agreement_system(16));
+  fast.run_rounds(20);
+  SyncSimulator slow(SyncConfig{.seed = 2, .max_extra_delay = 2, .threads = 1},
+                     testing::round_agreement_system(16));
+  slow.set_fault_plan(3, FaultPlan::lossy(0.4, 0.2));
+  slow.run_rounds(20);
+  EXPECT_EQ(lane_span_count(), before);
 }
 
 }  // namespace

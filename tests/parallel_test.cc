@@ -4,9 +4,13 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 
 #include "core/predicates.h"
 #include "core/round_agreement.h"
@@ -183,6 +187,31 @@ TEST(WorkerPool, FirstBatchOnFreshPoolUsesEveryLane) {
     EXPECT_EQ(saw_both, 2) << "repeat " << repeat
                            << ": the two tasks did not run concurrently";
   }
+}
+
+// ensure_lanes called from inside a batch — what a multi-lane simulator
+// built in a parallel_sweep trial does — must return at once instead of
+// waiting for the lock the posting batch holds.  The batch runs on a helper
+// thread with a bounded wait, so a regression fails here instead of hanging
+// the suite.
+TEST(WorkerPool, EnsureLanesInsideBatchReturns) {
+  WorkerPool& pool = WorkerPool::shared();
+  const unsigned before = pool.lanes();
+  std::promise<void> finished;
+  std::future<void> done = finished.get_future();
+  std::thread helper([&] {
+    pool.run_tasks(4, [&](std::size_t) { pool.ensure_lanes(before + 2); });
+    finished.set_value();
+  });
+  if (done.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    ADD_FAILURE() << "ensure_lanes inside a batch did not return";
+    std::fflush(stdout);
+    // The helper and the shared pool are wedged, so joining either would
+    // hang; leave without unwinding or static teardown.
+    std::_Exit(1);
+  }
+  helper.join();
+  EXPECT_EQ(pool.lanes(), before) << "a nested ensure_lanes grew the pool";
 }
 
 TEST(WorkerPool, NestedRunTasksExecutesInline) {
