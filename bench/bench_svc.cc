@@ -16,7 +16,8 @@
 //      with deterministic reports.
 //
 // google-benchmark timings cover the substrate operations the service hot
-// path leans on: batch encode/decode and KvStore application.
+// path leans on: batch encode/decode and KvStore application, with and
+// without the (client, seq) dedup floor.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -198,6 +199,39 @@ void BM_KvApplyDecision(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_KvApplyDecision)->Arg(1)->Arg(64)->Arg(1024);
+
+// The same apply with every command carrying (client, seq), so each one
+// passes the dedup floor: 20 000 clients in a scattered order, each client's
+// seqs ascending, applied batch by batch to a fresh store per pass (the
+// access pattern of a svc replica and of report()'s clean-suffix rebuild).
+void BM_KvApplyDecisionClients(benchmark::State& state) {
+  constexpr std::int64_t kClients = 20000;
+  constexpr std::int64_t kCommands = 40960;  // a multiple of every batch arg
+  const std::int64_t batch = state.range(0);
+  std::vector<Value> decisions;
+  std::vector<svc::Command> commands;
+  for (std::int64_t i = 0; i < kCommands; ++i) {
+    // 7919 is coprime to 20 000: each run of 20 000 commands visits every
+    // client once.
+    const std::int64_t client = (i * 7919) % kClients;
+    commands.push_back(
+        {"k" + std::to_string(i % 64), Value(i), client, i / kClients});
+    if (static_cast<std::int64_t>(commands.size()) == batch) {
+      decisions.push_back(svc::encode_batch(commands));
+      commands.clear();
+    }
+  }
+  std::int64_t applied = 0;
+  for (auto _ : state) {
+    svc::KvStore store;
+    for (const Value& decision : decisions) {
+      applied += store.apply_decision(decision).applied;
+    }
+  }
+  benchmark::DoNotOptimize(applied);
+  state.SetItemsProcessed(state.iterations() * kCommands);
+}
+BENCHMARK(BM_KvApplyDecisionClients)->Arg(1)->Arg(64)->Arg(1024);
 
 void BM_SvcSmallRun(benchmark::State& state) {
   for (auto _ : state) {

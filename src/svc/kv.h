@@ -22,9 +22,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "util/value.h"
 
@@ -86,7 +87,9 @@ class KvStore {
   void apply_one(const Value& cmd, ApplyStats& stats);
 
   Value::Map data_;
-  std::map<std::int64_t, std::int64_t> last_seq_;  // per-client dedup floor
+  // Per-client dedup floor.  Hashed: apply_one is its only reader, and it is
+  // never iterated, fingerprinted or compared.
+  std::unordered_map<std::int64_t, std::int64_t> last_seq_;
   std::int64_t applied_total_ = 0;
   std::int64_t deduped_total_ = 0;
   std::int64_t garbage_total_ = 0;

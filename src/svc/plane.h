@@ -21,8 +21,10 @@
 //    restored to instance 10^12 asks for a proposal far outside the window
 //    and gets a harmless empty batch, not the clients' queued commands.
 //  * At-least-once retransmit: systemic corruption can yank the whole
-//    system past instance j before j decides, orphaning j's batch.  Once
-//    the decided log passes an undecided assignment by `gap` instances,
+//    system past instance j before j decides, orphaning j's batch, or get
+//    a corrupted-era value decided for j in its place.  An assignment
+//    counts as decided only once some replica logs j's own batch; once the
+//    decided log passes an undecided assignment by `gap` instances,
 //    reclaim() re-queues its commands (in original submission order) for a
 //    future instance.  The KvStore's (client, seq) dedup makes the rare
 //    double-decide harmless.
@@ -51,6 +53,10 @@ class RequestPlane {
 
   // Harness side.
   void set_applied_floor(std::int64_t floor) { applied_floor_ = floor; }
+  // Marks instance k's assignment decided.  Call it only when a replica
+  // logs a value equal to find_proposal(k), whether first or later: a
+  // different value decided for k does not carry k's commands, and marking
+  // k would strand them (reclaim() skips decided assignments).
   void on_decided(std::int64_t instance);
   // Re-queues the commands of undecided assignments the decided log has
   // passed by more than `gap` instances.  Returns how many commands were

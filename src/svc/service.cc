@@ -267,11 +267,17 @@ void KvService::scan_logs(Time now) {
     for (; rs.log_consumed < log.size(); ++rs.log_consumed) {
       const AsyncDecision& d = log[rs.log_consumed];
       rs.pending.emplace(d.instance, std::make_pair(d.value, d.at_time));
+      // Only the plane's own batch settles its assignment, whichever replica
+      // logs it first: a corrupted-era value decided for the same instance
+      // leaves the batch to reclaim().
+      const Value* proposal = plane_->find_proposal(d.instance);
+      if (proposal != nullptr && *proposal == d.value) {
+        plane_->on_decided(d.instance);
+      }
       auto [it, inserted] = decided_.try_emplace(
           d.instance, DecidedMeta{d.value, d.at_time, true});
       if (inserted) {
         max_decided_ = std::max(max_decided_, d.instance);
-        plane_->on_decided(d.instance);
         const std::int64_t fill = batch_size_of(d.value);
         if (fill > 0) max_cmd_decided_ = std::max(max_cmd_decided_, d.instance);
         metrics_.observe("svc_batch_fill", fill,
@@ -508,21 +514,33 @@ SvcReport KvService::report() const {
       cutoff = std::min(cutoff, c);
     }
     if (cutoff >= *r.clean_from) {
-      r.converged_clean = true;
-      std::optional<std::uint64_t> reference;
+      using Entry = std::map<std::int64_t, Value>::const_iterator;
+      struct Materialized {
+        Entry begin, end;
+        std::uint64_t fingerprint;
+      };
+      std::vector<Materialized> materialized;
       for (const auto& by_instance : logs) {
+        const Entry begin = by_instance.lower_bound(*r.clean_from);
+        const Entry end = by_instance.upper_bound(cutoff);
+        // The store is a pure function of the suffix, so memoizing is exact.
+        const bool seen = std::any_of(
+            materialized.begin(), materialized.end(),
+            [&](const Materialized& m) {
+              return std::equal(begin, end, m.begin, m.end);
+            });
+        if (seen) continue;
         KvStore store;
-        for (auto it = by_instance.lower_bound(*r.clean_from);
-             it != by_instance.end() && it->first <= cutoff; ++it) {
+        for (Entry it = begin; it != end; ++it) {
           store.apply_decision(it->second);
         }
-        const std::uint64_t fp = store.fingerprint();
-        if (!reference) {
-          reference = fp;
-        } else if (*reference != fp) {
-          r.converged_clean = false;
-        }
+        materialized.push_back({begin, end, store.fingerprint()});
       }
+      r.converged_clean = std::all_of(
+          materialized.begin(), materialized.end(),
+          [&](const Materialized& m) {
+            return m.fingerprint == materialized.front().fingerprint;
+          });
     }
   }
   return r;

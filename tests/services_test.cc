@@ -2,7 +2,8 @@
 // golden report fingerprints under crash + corruption plans (at worker
 // counts 1 and 8, pinning the parallel_sweep determinism contract),
 // applied-store convergence, bounded-corrupted-prefix, pipeline
-// backpressure, read leases, retransmit/dedup liveness, and the
+// backpressure, read leases, retransmit/dedup liveness (every wave seed
+// drains), the store's dedup rule against a reference model, and the
 // batching-transparency oracle with its deliberate-breakage mutation.
 //
 // The pinned hex constants are load-bearing: they freeze the entire
@@ -13,11 +14,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
 
 #include "conform/batching.h"
 #include "svc/service.h"
 #include "test_util.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 
 namespace ftss {
 namespace {
@@ -260,6 +264,47 @@ TEST(SvcRetransmit, OrphanedBatchesDrainToCompletion) {
   EXPECT_GT(report.commands_retransmitted, 0) << report.summary();
 }
 
+// The svc-faults shape: 100 clients x 5 ops at batch 1 under EXP21a's wave
+// at t=7000 plus a crash of replica 4 at t=12000, run on to a drain.
+SvcConfig wave_drain_config(std::uint64_t wave_seed) {
+  SvcConfig config;
+  config.n = 5;
+  config.seed = 1;
+  config.batch = 1;
+  config.clients = 100;
+  config.max_ops_per_client = 5;
+  config.read_permille = 200;
+  config.horizon = 20000;
+  config.drain_cap = 30000;
+  config.plan = svc::corruption_wave(config.n, 7000, wave_seed);
+  config.plan.crashes.push_back({4, 12000});
+  return config;
+}
+
+// Wave seed 27 gets a corrupted-era value decided first for an instance the
+// plane had assigned a write.  That instance must not count as carrying the
+// write: reclaim() re-proposes it and it completes.
+TEST(SvcRetransmit, CorruptedDecisionDoesNotStrandItsBatch) {
+  const SvcReport report = run_service(wave_drain_config(27));
+  EXPECT_TRUE(report.drained) << report.summary();
+  EXPECT_EQ(report.requests_completed, report.requests_submitted)
+      << report.summary();
+}
+
+TEST(SvcRetransmit, EveryWaveSeedDrainsToCompletion) {
+  const int seeds = 32 * testing::trial_scale();
+  const std::vector<SvcReport> reports = parallel_sweep<SvcReport>(
+      seeds, [](std::size_t i) {
+        return run_service(wave_drain_config(1 + i));
+      });
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    EXPECT_TRUE(reports[i].drained)
+        << "wave seed " << 1 + i << ": " << reports[i].summary();
+    EXPECT_EQ(reports[i].requests_completed, reports[i].requests_submitted)
+        << "wave seed " << 1 + i << ": " << reports[i].summary();
+  }
+}
+
 // --- batching transparency ---------------------------------------------------
 
 TEST(SvcBatching, TransparentAcrossBatchSizes) {
@@ -335,6 +380,117 @@ TEST(SvcDecode, DedupSkipsReplayedClientCommands) {
   EXPECT_EQ(store.get("x"), Value(20))
       << "a replayed command must not clobber a later write";
   EXPECT_EQ(store.deduped_total(), 1);
+}
+
+// The store's decode and dedup rules restated over a std::map floor.
+struct ReferenceStore {
+  Value::Map data;
+  std::map<std::int64_t, std::int64_t> floor;
+  std::int64_t applied = 0;
+  std::int64_t deduped = 0;
+  std::int64_t garbage = 0;
+
+  void apply_one(const Value& cmd) {
+    if (!cmd.is_map() || !cmd.at("key").is_string() || !cmd.contains("val")) {
+      ++garbage;
+      return;
+    }
+    const std::int64_t client = cmd.at("client").int_or(-1);
+    const std::int64_t seq = cmd.at("seq").int_or(-1);
+    if (client >= 0) {
+      const auto it = floor.find(client);
+      if (it != floor.end() && seq <= it->second) {
+        ++deduped;
+        return;
+      }
+      floor[client] = seq;
+    }
+    const std::string& key = cmd.at("key").as_string();
+    if (cmd.at("val").is_null()) {
+      data.erase(key);
+    } else {
+      data[key] = cmd.at("val");
+    }
+    ++applied;
+  }
+
+  void apply_decision(const Value& decision) {
+    if (decision.is_array()) {
+      for (const Value& cmd : decision.as_array()) apply_one(cmd);
+    } else if (!decision.is_null()) {
+      apply_one(decision);
+    }
+  }
+};
+
+Value random_command(Rng& rng) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  static constexpr std::int64_t kWideIds[] = {
+      std::int64_t{1} << 32, (std::int64_t{1} << 32) + 1,
+      (std::int64_t{1} << 40) + 3, kMax, -1, -5, kMin};
+  Value cmd;
+  switch (rng.uniform(0, 19)) {
+    case 0:
+      return Value(rng.uniform(0, 9));  // not a map
+    case 1:
+      cmd["key"] = Value(rng.uniform(0, 3));  // non-string key
+      break;
+    default:
+      cmd["key"] = Value("k" + std::to_string(rng.uniform(0, 15)));
+  }
+  if (!rng.chance(0.05)) {  // else: no "val" at all
+    cmd["val"] = rng.chance(0.1) ? Value() : Value(rng.uniform(0, 999));
+  }
+  const std::int64_t client_shape = rng.uniform(0, 9);
+  if (client_shape < 6) {
+    cmd["client"] = Value(rng.uniform(0, 255));  // dense ids
+  } else if (client_shape < 8) {
+    cmd["client"] = Value(kWideIds[rng.uniform(0, 6)]);
+  } else if (client_shape == 8) {
+    cmd["client"] = Value("c7");  // non-int: anonymous
+  }
+  const std::int64_t seq_shape = rng.uniform(0, 9);
+  if (seq_shape < 7) {
+    cmd["seq"] = Value(rng.uniform(-2, 12));  // replays and out-of-order
+  } else if (seq_shape == 7) {
+    cmd["seq"] = Value(kMax);
+  } else if (seq_shape == 8) {
+    cmd["seq"] = Value("s");  // non-int: -1
+  }
+  return cmd;
+}
+
+Value random_decision(Rng& rng) {
+  const std::int64_t size = rng.uniform(0, 8);
+  if (size == 0) return rng.chance(0.5) ? Value() : Value(Value::Array{});
+  if (size == 1 && rng.chance(0.5)) return random_command(rng);
+  Value::Array batch;
+  for (std::int64_t i = 0; i < size; ++i) batch.push_back(random_command(rng));
+  return Value(std::move(batch));
+}
+
+TEST(SvcDecode, DedupMatchesMapFlooredReferenceModel) {
+  for (int trial = 0; trial < 40 * testing::trial_scale(); ++trial) {
+    Rng rng(1000 + trial);
+    KvStore store;
+    ReferenceStore reference;
+    std::vector<Value> decided;
+    for (int d = 0; d < 300; ++d) {
+      // Mostly fresh decisions; some replay an earlier one whole.
+      if (!decided.empty() && rng.chance(0.1)) {
+        decided.push_back(decided[rng.uniform(0, decided.size() - 1)]);
+      } else {
+        decided.push_back(random_decision(rng));
+      }
+      store.apply_decision(decided.back());
+      reference.apply_decision(decided.back());
+    }
+    ASSERT_EQ(store.data(), reference.data) << "trial " << trial;
+    ASSERT_EQ(store.applied_total(), reference.applied) << "trial " << trial;
+    ASSERT_EQ(store.deduped_total(), reference.deduped) << "trial " << trial;
+    ASSERT_EQ(store.garbage_total(), reference.garbage) << "trial " << trial;
+  }
 }
 
 }  // namespace
