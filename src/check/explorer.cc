@@ -97,14 +97,8 @@ TrialResult run_trial(const TrialPlan& plan, const TrialRunOptions& options) {
     return result;
   }
 
-  SyncConfig config;
-  config.seed = plan.trial_seed;
+  SyncConfig config = trial_sync_config(plan);
   config.record_states = options.record_states;
-  config.max_extra_delay = plan.max_extra_delay;
-  // Inherit the process-wide lane default: one knob (--sim-threads /
-  // set_sim_threads_default) parallelizes every trial simulator, which is
-  // how the fingerprint matrix re-runs whole suites at threads = k.
-  config.threads = 0;
   SyncSimulator sim(config, std::move(procs));
   sim.set_trace_sink(options.trace);
   configure_trial(sim, plan);

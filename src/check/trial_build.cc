@@ -34,6 +34,15 @@ std::vector<std::unique_ptr<SyncProcess>> build_trial_processes(
   return procs;
 }
 
+SyncConfig trial_sync_config(const TrialPlan& plan) {
+  SyncConfig config;
+  config.seed = plan.trial_seed;
+  config.record_states = true;
+  config.max_extra_delay = plan.max_extra_delay;
+  config.threads = 0;
+  return config;
+}
+
 void configure_trial(SyncSimulator& sim, const TrialPlan& plan) {
   for (const auto& c : plan.corruptions) {
     sim.corrupt_state(c.process, corruption_value(c));

@@ -7,7 +7,9 @@
 // observer-visible fact: liveness, halting, clocks, states, message fates
 // and payloads, suspect sets, manifested-faulty sets, coteries.  The differ
 // reports each disagreement as a typed Divergence so harnesses can shrink
-// and pin them.
+// and pin them.  Divergence itself lives with the replay books
+// (check/replay_books.h), which report their own cross-checks in the same
+// shape.
 //
 // Send records are compared as canonically-ordered multisets per round:
 // engines may legitimately resolve a round's messages in different internal
@@ -20,17 +22,10 @@
 #include <vector>
 
 #include "check/plan.h"
+#include "check/replay_books.h"  // Divergence
 #include "sim/history.h"
 
 namespace ftss {
-
-struct Divergence {
-  // Stable kind identifier: "length", "alive", "halted", "clock", "state",
-  // "sends", "suspects", "faulty", "coterie".
-  std::string kind;
-  Round round = 0;  // 0 = whole-run property
-  std::string detail;
-};
 
 struct DiffOptions {
   bool compare_states = true;    // per-process state snapshots

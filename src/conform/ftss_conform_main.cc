@@ -147,8 +147,8 @@ int transport(const std::string& path) {
               << " p99=" << h.percentile_upper(99) << " max=" << h.max << "\n";
   }
   bool diverged = false;
-  for (const ftss::TransportNote& n : result.notes) {
-    std::cout << n.kind << "@" << n.round << ": " << n.detail << "\n";
+  for (const ftss::Divergence& d : result.notes) {
+    std::cout << ftss::describe(d) << "\n";
     diverged = true;
   }
   for (const ftss::Divergence& d : ftss::diff_histories(

@@ -10,11 +10,16 @@
 // adapters wrapping fresh SyncProcess instances, one tick per process per
 // round (time r*kRoundPeriod + p), payloads crossing the event queue as
 // wrapped Values, crashes enforced by the event simulator's own time-based
-// gating, deliveries landing as timed events.  An external observer inside
-// the driver reconstructs a History from what the event leg actually did —
-// liveness from ticks that fired, clocks/states from adapter snapshots,
-// send fates from deliveries observed — and the differ compares the two
-// histories, the final states, and the metrics snapshots.
+// gating, deliveries landing as timed events.  The external observer is the
+// replay books both legs share (check/replay_books.h): the driver feeds them
+// what the event leg actually did — liveness from ticks that fired,
+// clocks/states from adapter snapshots, send fates from deliveries observed,
+// payloads as they came off the event queue — and the books rebuild the
+// History and cross-check final states, crashes and metrics, before the
+// differ compares the two histories.  The driver itself keeps only the
+// adapters, the tick stagger and the checks only the event queue allows:
+// sender attribution, the delivery instant, and no dispatch to a crashed
+// destination or of a message lost in flight.
 //
 // What this checks: protocol transition equivalence under a second engine,
 // the event simulator's crash/dispatch semantics against the sync model,
@@ -60,10 +65,8 @@ struct LockstepResult {
   History event_history;
   std::uint64_t sync_fingerprint = 0;
   std::uint64_t event_fingerprint = 0;
-  // History diffs plus cross-checks the histories cannot express: final
-  // state/clock of surviving processes ("final-state", "final-clock"),
-  // crash-vector agreement ("crashed"), metrics-snapshot agreement
-  // ("metrics") and schedule-replay integrity ("schedule").
+  // The replay books' cross-checks (Divergence lists their kinds), then the
+  // history diffs.
   std::vector<Divergence> divergences;
 
   bool ok() const { return supported && divergences.empty(); }

@@ -15,21 +15,12 @@ namespace ftss {
 
 namespace {
 
-SyncConfig sync_config_for(const TrialPlan& plan) {
-  SyncConfig cfg;
-  cfg.seed = plan.trial_seed;
-  cfg.record_states = true;
-  cfg.max_extra_delay = plan.max_extra_delay;
-  cfg.threads = 0;  // inherit the process-wide lane default
-  return cfg;
-}
-
 // One plain leg, full states recorded.
 std::optional<History> run_history(const TrialPlan& plan, std::string* error) {
   std::vector<std::unique_ptr<SyncProcess>> procs =
       build_trial_processes(plan, error);
   if (procs.empty()) return std::nullopt;
-  SyncSimulator sim(sync_config_for(plan), std::move(procs));
+  SyncSimulator sim(trial_sync_config(plan), std::move(procs));
   configure_trial(sim, plan);
   sim.run_rounds(plan.rounds);
   return sim.history();
@@ -143,7 +134,7 @@ OracleResult check_extension(const TrialPlan& plan, int split_at,
 
   std::vector<std::unique_ptr<SyncProcess>> procs =
       build_trial_processes(plan, &error);
-  SyncSimulator sim(sync_config_for(plan), std::move(procs));
+  SyncSimulator sim(trial_sync_config(plan), std::move(procs));
   configure_trial(sim, plan);
   sim.run_rounds(k);
   History split;
@@ -155,7 +146,7 @@ OracleResult check_extension(const TrialPlan& plan, int split_at,
     split = sim.history();
     std::vector<std::unique_ptr<SyncProcess>> fresh =
         build_trial_processes(plan, &error);
-    SyncSimulator restarted(sync_config_for(plan), std::move(fresh));
+    SyncSimulator restarted(trial_sync_config(plan), std::move(fresh));
     configure_trial(restarted, plan);
     restarted.run_rounds(m);
     for (const RoundRecord& rec : restarted.history().rounds) {
@@ -279,7 +270,7 @@ OracleResult check_cow_transparency(const TrialPlan& plan,
     wrapped.push_back(
         std::make_unique<PayloadTransformProcess>(std::move(p), t));
   }
-  SyncSimulator sim(sync_config_for(plan), std::move(wrapped));
+  SyncSimulator sim(trial_sync_config(plan), std::move(wrapped));
   configure_trial(sim, plan);
   sim.run_rounds(plan.rounds);
 

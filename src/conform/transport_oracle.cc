@@ -1,7 +1,7 @@
 // The transport differential oracle: net/transport.h's socket leg exposed
 // under the conformance result shape.  Lives here (not in net/) so the net
 // library stays free of conform dependencies: net returns raw histories and
-// typed notes, this file turns them into Divergences with the shared differ.
+// the replay books' notes, this file appends the shared differ's findings.
 #include "conform/metamorphic.h"
 
 #include "net/transport.h"
@@ -19,10 +19,7 @@ OracleResult check_transport(const TrialPlan& plan,
     out.skip_reason = result.unsupported_reason;
     return out;
   }
-  for (TransportNote& n : result.notes) {
-    out.divergences.push_back(
-        Divergence{std::move(n.kind), n.round, std::move(n.detail)});
-  }
+  out.divergences = std::move(result.notes);
   for (Divergence& d :
        diff_histories(result.sync_history, result.transport_history)) {
     out.divergences.push_back(std::move(d));

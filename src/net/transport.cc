@@ -1,19 +1,18 @@
 #include "net/transport.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <utility>
 
+#include "check/replay_books.h"
 #include "check/trial_build.h"
 #include "net/channel.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "sim/causality.h"
-#include "sim/fate_schedule.h"
-#include "sim/simulator.h"
 #include "wire/frame.h"
 
 namespace ftss {
@@ -40,6 +39,12 @@ Value state_report(const SyncProcess& proc, Round r, bool with_round) {
   return v;
 }
 
+// The clock a state report carries, if the process exposes one.
+std::optional<Round> reported_clock(const Value& report) {
+  if (!report.contains("clock")) return std::nullopt;
+  return report.at("clock").int_or(0);
+}
+
 // The entire process-side half of the session protocol.  Everything the
 // process learns or reports crosses the channel as encoded frames; its only
 // shared memory with the hub is the SyncProcess object it owns for the
@@ -55,6 +60,16 @@ void process_main(Channel ch, SyncProcess* proc, std::string* error) {
   const auto fail = [&](const std::string& why) {
     *error = why;
     ch.close_fd();
+  };
+  // Closes the previous round: its buffered deliveries, sorted by sender
+  // as the sync inbox is.
+  const auto end_round = [&] {
+    if (!started || proc->halted()) return;
+    std::stable_sort(inbox.begin(), inbox.end(),
+                     [](const Message& x, const Message& y) {
+                       return x.sender < y.sender;
+                     });
+    proc->end_round(inbox);
   };
 
   for (;;) {
@@ -78,15 +93,7 @@ void process_main(Channel ch, SyncProcess* proc, std::string* error) {
       }
       case FrameType::kRoundBegin: {
         const Round round = body.at("r").int_or(0);
-        // The begin of round r first closes round r-1: consume the buffered
-        // deliveries, sorted by sender as the sync inbox is.
-        if (started && !proc->halted()) {
-          std::stable_sort(inbox.begin(), inbox.end(),
-                           [](const Message& x, const Message& y) {
-                             return x.sender < y.sender;
-                           });
-          proc->end_round(inbox);
-        }
+        end_round();  // the begin of round r first closes round r-1
         inbox.clear();
         started = true;
         if (!ch.send_frame(FrameType::kSnapshot,
@@ -159,13 +166,7 @@ void process_main(Channel ch, SyncProcess* proc, std::string* error) {
         if (body.at("end").int_or(0) == 1) {
           // Books-closing end_round for the final round's deliveries, then
           // the final survivor report.
-          if (started && !proc->halted()) {
-            std::stable_sort(inbox.begin(), inbox.end(),
-                             [](const Message& x, const Message& y) {
-                               return x.sender < y.sender;
-                             });
-            proc->end_round(inbox);
-          }
+          end_round();
           if (!ch.send_frame(FrameType::kFinal,
                              state_report(*proc, 0, false))) {
             return fail("send final");
@@ -180,19 +181,6 @@ void process_main(Channel ch, SyncProcess* proc, std::string* error) {
 }
 
 // --- Hub side ------------------------------------------------------------
-
-// A message the transport leg has accepted from a sender: its resolved fate
-// plus everything needed to reconstruct the observer record.
-struct Pending {
-  ProcessId sender = -1;
-  ProcessId dest = -1;
-  Round sent_round = 0;
-  Round delivery_round = 0;
-  int fate = kFateDelivered;
-  Value payload;
-  ProcessSet influence;
-  bool resolved = false;
-};
 
 struct ProcSlot {
   Channel ch;  // hub end; the process end moves into the thread
@@ -211,48 +199,26 @@ class TransportDriver {
         result_(result),
         n_(plan.n),
         final_(plan.rounds),
-        causality_(plan.n),
-        fault_manifested_(plan.n, false),
-        crash_round_(plan.n) {}
+        books_(plan, "transport") {}
 
   void run();
 
  private:
-  static constexpr int kMaxReports = 16;
-
   bool unsupported(std::string reason) {
     result_->supported = false;
     result_->unsupported_reason = std::move(reason);
     return false;
   }
 
-  void note(const char* kind, Round r, std::string detail) {
-    if (static_cast<int>(result_->notes.size()) < kMaxReports) {
-      result_->notes.push_back(TransportNote{kind, r, std::move(detail)});
-    }
-  }
-
-  void mark_faulty(ProcessId p) { fault_manifested_[p] = true; }
-
-  RoundRecord& rec_of(Round r) { return h2_.rounds.at(r - 1); }
-
-  bool crashed_by(ProcessId p, Round r) const {
-    return crash_round_[p] && r >= *crash_round_[p];
-  }
-
   bool send_shutdown(ProcessId p, bool end_of_run);
   bool run_rounds();
-  void begin_round_record(Round r);
   bool read_round_reports(Round r);
   void handle_send(Round r, ProcessId sender, const Value& mb);
   bool ship_deliveries(Round r, std::vector<std::int64_t>& counts);
   bool read_inbox_statuses(Round r);
-  void resolve_ok(ProcessId dest, Round r, std::int64_t id);
   void resolve_bad(ProcessId dest, Round r, std::int64_t id,
                    std::int64_t code);
-  void finalize_round(Round r);
   bool close_books();
-  void flush_lost();
   void finish();
   void teardown();
 
@@ -262,16 +228,9 @@ class TransportDriver {
   const int n_;
   const Round final_;
 
-  std::unique_ptr<SyncSimulator> sync_;
+  ReplayBooks books_;
   std::vector<ProcSlot> slots_;
-  std::map<FateScheduleKey, FateQueue> fates_;
-  std::vector<Pending> pendings_;
-  History h2_;
-  CausalityTracker causality_;
-  std::vector<bool> fault_manifested_;
-  std::vector<std::optional<Round>> crash_round_;
   std::vector<Value> final_reports_;  // per-survivor kFinal bodies
-  bool any_suspects_ = false;
   int delivery_attempts_ = 0;
   HistogramData hub_round_ns_;  // one observation per dispatched round
   std::int64_t trial_start_ns_ = 0;
@@ -286,66 +245,21 @@ bool TransportDriver::send_shutdown(ProcessId p, bool end_of_run) {
   return slot.ch.send_frame(FrameType::kShutdown, body);
 }
 
-void TransportDriver::begin_round_record(Round r) {
-  RoundRecord rec;
-  rec.round = r;
-  rec.alive.assign(n_, false);
-  rec.halted.resize(n_);
-  rec.state.resize(n_);
-  rec.clock.resize(n_);
-  if (any_suspects_) rec.suspects.resize(n_);
-  h2_.rounds.push_back(std::move(rec));
-  for (ProcessId p = 0; p < n_; ++p) {
-    if (crashed_by(p, r)) mark_faulty(p);
-  }
-}
-
 void TransportDriver::handle_send(Round r, ProcessId sender, const Value& mb) {
   const ProcessId dest = static_cast<ProcessId>(mb.at("d").int_or(-1));
   if (mb.at("s").int_or(-1) != sender || mb.at("r").int_or(0) != r ||
       dest < 0 || dest >= n_) {
     std::ostringstream os;
     os << "p" << sender << " emitted a malformed send record";
-    note("schedule", r, os.str());
+    books_.report("schedule", r, os.str());
     return;
   }
-  const auto it = fates_.find(FateScheduleKey{r, sender, dest});
-  if (it == fates_.end() || it->second.next >= it->second.fates.size()) {
-    std::ostringstream os;
-    os << "transport leg sent an unscheduled message p" << sender << "->p"
-       << dest;
-    note("schedule", r, os.str());
-    return;
-  }
-  const ResolvedFate fate = it->second.fates[it->second.next++];
-
-  if (fate.code == kFateDroppedBySender) {
-    SendRecord sr;
-    sr.sender = sender;
-    sr.dest = dest;
-    sr.sent_round = r;
-    sr.delivery_round = r;
-    sr.payload = mb.at("b");
-    sr.dropped_by_sender = true;
-    rec_of(r).sends.push_back(std::move(sr));
-    mark_faulty(sender);
-    return;
-  }
-
-  Pending pend;
-  pend.sender = sender;
-  pend.dest = dest;
-  pend.sent_round = r;
-  pend.delivery_round = fate.delivery_round;
-  pend.fate = fate.code;
-  pend.payload = mb.at("b");
-  pend.influence = causality_.send_snapshot(sender);
-  pendings_.push_back(std::move(pend));
+  books_.send(r, sender, dest, mb.at("b"));
 }
 
 bool TransportDriver::read_round_reports(Round r) {
   for (ProcessId p = 0; p < n_; ++p) {
-    if (crashed_by(p, r)) continue;
+    if (books_.crashed_by(p, r)) continue;
     ProcSlot& slot = slots_[p];
     Channel::RecvResult snap = slot.ch.recv_frame();
     if (snap.error != WireError::kOk || snap.eof ||
@@ -354,17 +268,15 @@ bool TransportDriver::read_round_reports(Round r) {
       return unsupported("p" + std::to_string(p) +
                          ": expected snapshot for round " + std::to_string(r));
     }
-    RoundRecord& rec = rec_of(r);
     const Value& b = snap.frame.body;
-    rec.alive[p] = true;
-    rec.halted[p] = b.at("halted").bool_or(false);
-    rec.state[p] = b.at("state");
-    if (b.contains("clock")) rec.clock[p] = b.at("clock").int_or(0);
-    if (any_suspects_ && b.contains("suspects")) {
+    std::vector<ProcessId> suspects;
+    if (b.contains("suspects")) {
       for (const Value& q : b.at("suspects").as_array()) {
-        rec.suspects[p].push_back(static_cast<ProcessId>(q.int_or(-1)));
+        suspects.push_back(static_cast<ProcessId>(q.int_or(-1)));
       }
     }
+    books_.observe(r, p, b.at("halted").bool_or(false), b.at("state"),
+                   reported_clock(b), std::move(suspects));
     for (;;) {
       Channel::RecvResult m = slot.ch.recv_frame();
       if (m.error != WireError::kOk || m.eof) {
@@ -384,27 +296,19 @@ bool TransportDriver::read_round_reports(Round r) {
 
 bool TransportDriver::ship_deliveries(Round r,
                                       std::vector<std::int64_t>& counts) {
-  for (std::size_t i = 0; i < pendings_.size(); ++i) {
-    Pending& pend = pendings_[i];
+  const std::span<ReplayBooks::Pending> pendings = books_.pendings();
+  for (std::size_t i = 0; i < pendings.size(); ++i) {
+    ReplayBooks::Pending& pend = pendings[i];
     if (pend.resolved || pend.delivery_round != r) continue;
 
     if (pend.fate == kFateDroppedByReceiver) {
       // The adversary's receive omission: the hub (playing the network's
       // faulty-receiver half) eats the message before it crosses the wire.
-      pend.resolved = true;
-      SendRecord sr;
-      sr.sender = pend.sender;
-      sr.dest = pend.dest;
-      sr.sent_round = pend.sent_round;
-      sr.delivery_round = r;
-      sr.payload = pend.payload;
-      sr.dropped_by_receiver = true;
-      rec_of(r).sends.push_back(std::move(sr));
-      mark_faulty(pend.dest);
+      books_.resolve(pend, r, kFateDroppedByReceiver, pend.payload);
       continue;
     }
-    if (pend.fate != kFateDelivered) continue;  // dest-crashed: finalize_round
-    if (crashed_by(pend.dest, r)) continue;     // mismatch flagged there too
+    if (pend.fate != kFateDelivered) continue;      // dest-crashed: end_round
+    if (books_.crashed_by(pend.dest, r)) continue;  // flagged there too
 
     const int attempt = delivery_attempts_++;
     if (attempt == options_.drop_index) continue;  // CORRUPTION HOOK: loss
@@ -459,69 +363,23 @@ bool TransportDriver::ship_deliveries(Round r,
   return true;
 }
 
-void TransportDriver::resolve_ok(ProcessId dest, Round r, std::int64_t id) {
-  if (id < 0 || id >= static_cast<std::int64_t>(pendings_.size())) {
-    note("schedule", r, "inbox acknowledged a message the hub never sent");
-    return;
-  }
-  Pending& pend = pendings_[static_cast<std::size_t>(id)];
-  if (pend.resolved) {
-    note("schedule", r, "duplicate delivery of one message");
-    return;
-  }
-  if (pend.dest != dest || pend.delivery_round != r ||
-      pend.fate != kFateDelivered) {
-    std::ostringstream os;
-    os << "delivery off schedule: p" << pend.sender << "->p" << pend.dest
-       << " due round " << pend.delivery_round << ", acknowledged by p"
-       << dest << " in round " << r;
-    note("schedule", r, os.str());
-    return;
-  }
-  pend.resolved = true;
-  SendRecord sr;
-  sr.sender = pend.sender;
-  sr.dest = pend.dest;
-  sr.sent_round = pend.sent_round;
-  sr.delivery_round = r;
-  sr.payload = pend.payload;
-  sr.delivered = true;
-  causality_.deliver_snapshot(pend.influence, dest);
-  rec_of(r).sends.push_back(std::move(sr));
-}
-
 void TransportDriver::resolve_bad(ProcessId dest, Round r, std::int64_t id,
                                   std::int64_t code) {
-  if (id < 0 || id >= static_cast<std::int64_t>(pendings_.size())) {
-    note("schedule", r, "inbox rejected a message the hub never sent");
-    return;
-  }
-  Pending& pend = pendings_[static_cast<std::size_t>(id)];
-  if (pend.resolved || pend.dest != dest) {
-    note("schedule", r, "frame rejection does not match any open delivery");
-    return;
-  }
-  pend.resolved = true;
+  ReplayBooks::Pending* pend = books_.claim(r, dest, id);
+  if (pend == nullptr) return;
   FlightRecorder::instant(FlightCat::kReject, dest, code);
   // A typed decode rejection is a model-level fault, not a harness error:
   // the observer records it as a frame-corrupted send and the differ will
   // hold it against the sync leg (which believed the message delivered).
-  SendRecord sr;
-  sr.sender = pend.sender;
-  sr.dest = pend.dest;
-  sr.sent_round = pend.sent_round;
-  sr.delivery_round = r;
-  sr.payload = pend.payload;
-  sr.frame_corrupted = true;
-  rec_of(r).sends.push_back(std::move(sr));
+  books_.resolve(*pend, r, kFateFrameCorrupted, pend->payload);
   result_->rejected_frames.push_back(
-      FrameReject{dest, pend.sender, pend.sent_round, r,
+      FrameReject{dest, pend->sender, pend->sent_round, r,
                   static_cast<WireError>(code)});
 }
 
 bool TransportDriver::read_inbox_statuses(Round r) {
   for (ProcessId p = 0; p < n_; ++p) {
-    if (crashed_by(p, r)) continue;
+    if (books_.crashed_by(p, r)) continue;
     Channel::RecvResult st = slots_[p].ch.recv_frame();
     if (st.error != WireError::kOk || st.eof ||
         st.frame.type != FrameType::kInboxStatus ||
@@ -533,7 +391,9 @@ bool TransportDriver::read_inbox_statuses(Round r) {
     const Value& b = st.frame.body;
     if (b.at("ok").is_array()) {
       for (const Value& id : b.at("ok").as_array()) {
-        resolve_ok(p, r, id.int_or(-1));
+        if (ReplayBooks::Pending* pend = books_.claim(r, p, id.int_or(-1))) {
+          books_.resolve(*pend, r, kFateDelivered, pend->payload);
+        }
       }
     }
     if (b.at("bad").is_array()) {
@@ -548,47 +408,15 @@ bool TransportDriver::read_inbox_statuses(Round r) {
   return true;
 }
 
-void TransportDriver::finalize_round(Round r) {
-  for (std::size_t i = 0; i < pendings_.size(); ++i) {
-    Pending& pend = pendings_[i];
-    if (pend.resolved || pend.delivery_round != r) continue;
-    pend.resolved = true;
-    SendRecord sr;
-    sr.sender = pend.sender;
-    sr.dest = pend.dest;
-    sr.sent_round = pend.sent_round;
-    sr.delivery_round = r;
-    sr.payload = pend.payload;
-    sr.dest_crashed = true;
-    if (pend.fate != kFateDestCrashed || !crashed_by(pend.dest, r)) {
-      std::ostringstream os;
-      os << "p" << pend.sender << "->p" << pend.dest
-         << " vanished in the transport leg (resolved fate " << pend.fate
-         << ", dest crashed=" << crashed_by(pend.dest, r) << ")";
-      note("schedule", r, os.str());
-    }
-    rec_of(r).sends.push_back(std::move(sr));
-  }
-
-  RoundRecord& rec = rec_of(r);
-  rec.faulty_by_now = fault_manifested_;
-  ProcessSet correct(n_);
-  for (ProcessId p = 0; p < n_; ++p) {
-    if (!fault_manifested_[p]) correct.insert(p);
-  }
-  rec.coterie = causality_.coterie(correct).to_bools();
-}
-
 bool TransportDriver::run_rounds() {
   if (hub_round_ns_.bounds.empty()) {
     hub_round_ns_.bounds = latency_nanos_bounds();
   }
   for (Round r = 1; r <= final_; ++r) {
     ScopedTimer round_timer(&hub_round_ns_, FlightCat::kRound, r);
-    begin_round_record(r);
-    causality_.begin_round();
+    books_.begin_round(r);
     for (ProcessId p = 0; p < n_; ++p) {
-      if (crashed_by(p, r)) {
+      if (books_.crashed_by(p, r)) {
         if (!send_shutdown(p, /*end_of_run=*/false)) {
           return unsupported("p" + std::to_string(p) + ": crash shutdown");
         }
@@ -604,7 +432,7 @@ bool TransportDriver::run_rounds() {
     std::vector<std::int64_t> counts(n_, 0);
     if (!ship_deliveries(r, counts)) return false;
     for (ProcessId p = 0; p < n_; ++p) {
-      if (crashed_by(p, r)) continue;
+      if (books_.crashed_by(p, r)) continue;
       Value body;
       body["r"] = Value(r);
       body["count"] = Value(counts[p]);
@@ -613,7 +441,7 @@ bool TransportDriver::run_rounds() {
       }
     }
     if (!read_inbox_statuses(r)) return false;
-    finalize_round(r);
+    books_.end_round(r, books_.crashed_by(r));
   }
   return true;
 }
@@ -621,7 +449,7 @@ bool TransportDriver::run_rounds() {
 bool TransportDriver::close_books() {
   final_reports_.assign(n_, Value());
   for (ProcessId p = 0; p < n_; ++p) {
-    if (crashed_by(p, final_ + 1)) continue;  // shutdown already sent
+    if (books_.crashed_by(p, final_ + 1)) continue;  // shutdown already sent
     if (!send_shutdown(p, /*end_of_run=*/true)) {
       return unsupported("p" + std::to_string(p) + ": final shutdown write");
     }
@@ -635,77 +463,16 @@ bool TransportDriver::close_books() {
   return true;
 }
 
-void TransportDriver::flush_lost() {
-  std::vector<const Pending*> lost;
-  for (const Pending& pend : pendings_) {
-    if (!pend.resolved && pend.delivery_round > final_) lost.push_back(&pend);
-  }
-  std::stable_sort(lost.begin(), lost.end(),
-                   [](const Pending* a, const Pending* b) {
-                     return a->delivery_round < b->delivery_round;
-                   });
-  for (const Pending* pend : lost) {
-    SendRecord sr;
-    sr.sender = pend->sender;
-    sr.dest = pend->dest;
-    sr.sent_round = pend->sent_round;
-    sr.delivery_round = pend->delivery_round;
-    sr.payload = pend->payload;
-    sr.lost_in_flight = true;
-    rec_of(final_).sends.push_back(std::move(sr));
-  }
-}
-
 void TransportDriver::finish() {
-  // Sends the sync leg scheduled but the transport leg never attempted.
-  for (const auto& [key, fq] : fates_) {
-    if (fq.next < fq.fates.size()) {
-      std::ostringstream os;
-      os << "p" << std::get<1>(key) << "->p" << std::get<2>(key) << ": "
-         << (fq.fates.size() - fq.next)
-         << " sync-scheduled send(s) never attempted by the transport leg";
-      note("schedule", std::get<0>(key), os.str());
-    }
-  }
-
-  // Crash-vector agreement between the sync engine and the hub's books.
+  books_.close(books_.crashed_by(final_));
   for (ProcessId p = 0; p < n_; ++p) {
-    const bool sc = sync_->crashed(p);
-    const bool tc = crashed_by(p, final_);
-    if (sc != tc) {
-      note("crashed", final_,
-           "p" + std::to_string(p) + ": sync " + (sc ? "crashed" : "alive") +
-               " vs transport " + (tc ? "crashed" : "alive"));
-    }
-  }
-
-  // Post-final-round survivor agreement, from the kFinal reports.
-  for (ProcessId p = 0; p < n_; ++p) {
-    if (sync_->crashed(p) || crashed_by(p, final_)) continue;
-    const SyncProcess& sp = sync_->process(p);
+    if (books_.crashed_by(p, final_)) continue;
     const Value& rep = final_reports_[p];
-    if (!(sp.snapshot_state() == rep.at("state")) ||
-        sp.halted() != rep.at("halted").bool_or(false)) {
-      note("final-state", final_,
-           "p" + std::to_string(p) + ": " + sp.snapshot_state().to_string() +
-               " vs " + rep.at("state").to_string());
-    }
-    const auto sync_clock = sp.round_counter();
-    const bool has_clock = rep.contains("clock");
-    if (sync_clock.has_value() != has_clock ||
-        (sync_clock && *sync_clock != rep.at("clock").int_or(0))) {
-      note("final-clock", final_, "p" + std::to_string(p));
-    }
+    books_.check_survivor(p, rep.at("state"), rep.at("halted").bool_or(false),
+                          reported_clock(rep));
   }
-
-  result_->transport_history = h2_;
-
-  MetricsRegistry ms, mt;
-  record_history_metrics(result_->sync_history, ms);
-  record_history_metrics(h2_, mt);
-  if (ms.snapshot().fingerprint() != mt.snapshot().fingerprint()) {
-    note("metrics", final_, "derived metrics snapshots differ");
-  }
+  result_->transport_history = books_.finish();
+  result_->notes = std::move(books_.reports());
 
   for (const ProcSlot& slot : slots_) {
     result_->frames_sent += slot.ch.frames_sent + slot.ch.frames_received;
@@ -742,45 +509,20 @@ void TransportDriver::teardown() {
   }
   for (ProcessId p = 0; p < static_cast<ProcessId>(slots_.size()); ++p) {
     if (!slots_[p].error.empty()) {
-      note("io", final_, "p" + std::to_string(p) + ": " + slots_[p].error);
+      books_.report("io", final_,
+                    "p" + std::to_string(p) + ": " + slots_[p].error);
     }
   }
 }
 
 void TransportDriver::run() {
   trial_start_ns_ = FlightRecorder::now_ns();
-  if (final_ < 1) {
-    unsupported("plan has no rounds");
-    return;
-  }
-  if (n_ < 1) {
-    unsupported("plan has no processes");
-    return;
-  }
-
-  // Sync leg: run, and resolve the plan's randomness from its history.
   std::string error;
-  std::vector<std::unique_ptr<SyncProcess>> procs =
-      build_trial_processes(plan_, &error);
-  if (procs.empty()) {
-    unsupported("build: " + error);
+  if (!books_.run_sync_leg(&error)) {
+    unsupported(error);
     return;
   }
-  SyncConfig scfg;
-  scfg.seed = plan_.trial_seed;
-  scfg.record_states = true;
-  scfg.max_extra_delay = plan_.max_extra_delay;
-  scfg.threads = 0;  // inherit the process-wide lane default
-  sync_ = std::make_unique<SyncSimulator>(scfg, std::move(procs));
-  configure_trial(*sync_, plan_);
-  sync_->run_rounds(static_cast<int>(final_));
-  result_->sync_history = sync_->history();
-  FateSchedule schedule = extract_fate_schedule(result_->sync_history);
-  if (!schedule.ok) {
-    unsupported("sync " + schedule.error);
-    return;
-  }
-  fates_ = std::move(schedule.fates);
+  result_->sync_history = books_.sync_history();
 
   // Transport leg: fresh processes, each behind a socketpair on its own
   // thread, corruptions shipped inside the kInit frame.
@@ -793,14 +535,12 @@ void TransportDriver::run() {
   slots_ = std::vector<ProcSlot>(n_);
   std::vector<Channel> proc_ends(n_);
   for (ProcessId p = 0; p < n_; ++p) {
-    if (fresh[p]->suspect_set() != nullptr) any_suspects_ = true;
     slots_[p].proc = std::move(fresh[p]);
     if (!Channel::make_pair(&slots_[p].ch, &proc_ends[p])) {
       unsupported("socketpair failed");
       teardown();
       return;
     }
-    crash_round_[p] = plan_.fault_plan_for(p).crash_at;
   }
   for (ProcessId p = 0; p < n_; ++p) {
     ProcSlot& slot = slots_[p];
@@ -823,13 +563,10 @@ void TransportDriver::run() {
     }
   }
 
-  h2_.n = n_;
   if (alive) alive = run_rounds();
   if (alive) alive = close_books();
   teardown();
-  if (!alive) return;
-  flush_lost();
-  finish();
+  if (alive) finish();
 }
 
 }  // namespace

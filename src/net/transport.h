@@ -7,7 +7,8 @@
 // delivery round is read off its audited history (sim/fate_schedule.h).
 // The transport leg then re-executes the schedule with real serialization on
 // the path.  Each process runs on its own thread behind a Channel; a hub on
-// the calling thread plays network, fault adversary and external observer.
+// the calling thread plays network and fault adversary, and feeds what it
+// sees to the external observer both legs share (check/replay_books.h).
 // Per round the hub sends kRoundBegin to every live process, drains each
 // process's kSnapshot / kMessage* / kSendDone responses in process-id order,
 // resolves fates, ships due deliveries as kDeliver envelopes wrapping the
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "check/plan.h"
+#include "check/replay_books.h"
 #include "obs/metrics.h"
 #include "sim/history.h"
 #include "wire/codec.h"
@@ -59,14 +61,8 @@ struct FrameReject {
   wire::WireError error = wire::WireError::kOk;
 };
 
-// A hub-side cross-check the histories alone cannot express, in the same
-// kind/round/detail shape as conform's Divergence (converted there; net/
-// does not depend on conform/).
-struct TransportNote {
-  std::string kind;
-  Round round = 0;
-  std::string detail;
-};
+// A cross-check the histories alone cannot express (check/replay_books.h).
+using TransportNote = Divergence;
 
 struct TransportResult {
   // False when the plan cannot run on this leg (unknown protocol, no
@@ -78,10 +74,8 @@ struct TransportResult {
   History sync_history;
   History transport_history;
 
-  // Cross-checks: "schedule" (replay integrity), "crashed" (crash-vector
-  // agreement), "final-state" / "final-clock" (survivor agreement after the
-  // last round), "metrics" (derived metrics snapshots), "io" (a channel
-  // failed mid-run).
+  // The replay books' cross-checks plus "io" (a channel failed mid-run);
+  // Divergence lists the kinds.
   std::vector<TransportNote> notes;
 
   // Typed rejections reported by receivers; empty unless corruption was

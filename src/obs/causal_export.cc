@@ -4,6 +4,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/trace.h"
+
 namespace ftss {
 
 namespace {
@@ -14,11 +16,8 @@ std::string node(ProcessId p, Round r) {
 
 }  // namespace
 
-void export_causal_dot(std::ostream& os, const History& h,
-                       CausalDotOptions options) {
-  const Round from = std::max<Round>(options.from_round, 1);
-  const Round to = options.to_round > 0 ? std::min(options.to_round, h.length())
-                                        : h.length();
+void export_causal_dot(std::ostream& os, const History& h) {
+  const Round to = h.length();
   const std::vector<bool> coterie =
       h.rounds.empty() ? std::vector<bool>(h.n, false)
                        : h.rounds.back().coterie;
@@ -30,30 +29,27 @@ void export_causal_dot(std::ostream& os, const History& h,
         "  rankdir=LR;\n"
         "  node [shape=box, fontsize=10];\n";
 
-  for (Round r = from; r <= to; ++r) {
+  for (Round r = 1; r <= to; ++r) {
     const RoundRecord& rec = h.at(r);
-    if (options.cluster_rounds) {
-      const bool change =
-          std::find(changes.begin(), changes.end(), r) != changes.end();
-      os << "  subgraph cluster_r" << r << " {\n    label=\"round " << r
-         << "\";\n";
-      if (change) os << "    color=red; style=dashed;\n";
+    os << "  subgraph cluster_r" << r << " {\n    label=\"round " << r
+       << "\";\n";
+    if (std::find(changes.begin(), changes.end(), r) != changes.end()) {
+      os << "    color=red; style=dashed;\n";
     }
     for (ProcessId p = 0; p < h.n; ++p) {
       if (!rec.alive[p]) continue;
-      os << (options.cluster_rounds ? "    " : "  ") << node(p, r)
-         << " [label=\"p" << p;
+      os << "    " << node(p, r) << " [label=\"p" << p;
       if (rec.clock[p]) os << "\\nc=" << *rec.clock[p];
       os << "\"";
       if (coterie[p]) os << ", peripheries=2";
       if (rec.halted[p]) os << ", style=dotted";
       os << "];\n";
     }
-    if (options.cluster_rounds) os << "  }\n";
+    os << "  }\n";
   }
 
   // Program order.
-  for (Round r = from; r < to; ++r) {
+  for (Round r = 1; r < to; ++r) {
     const RoundRecord& rec = h.at(r);
     const RoundRecord& next = h.at(r + 1);
     for (ProcessId p = 0; p < h.n; ++p) {
@@ -65,10 +61,9 @@ void export_causal_dot(std::ostream& os, const History& h,
 
   // Message order: delivered sends only (sends recorded in the round of
   // their *delivery*; jittered edges span multiple clusters).
-  for (Round r = from; r <= to; ++r) {
+  for (Round r = 1; r <= to; ++r) {
     for (const SendRecord& s : h.at(r).sends) {
       if (!s.delivered || s.sender == s.dest) continue;
-      if (s.sent_round < from) continue;
       os << "  " << node(s.sender, s.sent_round) << " -> "
          << node(s.dest, s.delivery_round);
       if (s.delivery_round != s.sent_round) {
@@ -81,34 +76,18 @@ void export_causal_dot(std::ostream& os, const History& h,
   os << "}\n";
 }
 
-std::string causal_dot_to_string(const History& h, CausalDotOptions options) {
+std::string causal_dot_to_string(const History& h) {
   std::ostringstream os;
-  export_causal_dot(os, h, options);
+  export_causal_dot(os, h);
   return os.str();
 }
 
-namespace {
-
-Value flow_record(const char* name, const char* ph, std::int64_t ts,
-                  std::int64_t tid) {
-  Value v;
-  v["name"] = Value(name);
-  v["ph"] = Value(ph);
-  v["pid"] = Value(0);
-  v["tid"] = Value(tid);
-  v["ts"] = Value(ts);
-  return v;
-}
-
-}  // namespace
-
-void export_chrome_flows(std::ostream& os, const History& h,
-                         ChromeFlowOptions options) {
-  const std::int64_t us = std::max<std::int64_t>(options.us_per_round, 4);
+void export_chrome_flows(std::ostream& os, const History& h) {
+  constexpr std::int64_t us = kChromeUsPerRound;
   Value::Array out;
 
   for (ProcessId p = 0; p < h.n; ++p) {
-    Value meta = flow_record("thread_name", "M", 0, p);
+    Value meta = chrome_record("thread_name", "M", 0, p);
     meta["args"]["name"] = Value("process " + std::to_string(p));
     out.push_back(std::move(meta));
   }
@@ -122,7 +101,7 @@ void export_chrome_flows(std::ostream& os, const History& h,
       if (!rec.alive[p]) continue;
       std::string label = "r" + std::to_string(rec.round);
       if (rec.clock[p]) label += " c=" + std::to_string(*rec.clock[p]);
-      Value span = flow_record(label.c_str(), "X", ts, p);
+      Value span = chrome_record(std::move(label), "X", ts, p);
       span["dur"] = Value(us);
       out.push_back(std::move(span));
     }
@@ -135,17 +114,17 @@ void export_chrome_flows(std::ostream& os, const History& h,
       if (s.delivered && s.sender != s.dest) {
         const std::int64_t id = flow_id++;
         Value start =
-            flow_record("msg", "s", s.sent_round * us + us / 4, s.sender);
+            chrome_record("msg", "s", s.sent_round * us + us / 4, s.sender);
         start["id"] = Value(id);
         out.push_back(std::move(start));
-        Value finish = flow_record(
+        Value finish = chrome_record(
             "msg", "f", s.delivery_round * us + (3 * us) / 4, s.dest);
         finish["id"] = Value(id);
         finish["bp"] = Value("e");
         out.push_back(std::move(finish));
       } else if (!s.delivered) {
-        Value inst = flow_record("drop", "i",
-                                 s.delivery_round * us + (3 * us) / 4, s.dest);
+        Value inst = chrome_record(
+            "drop", "i", s.delivery_round * us + (3 * us) / 4, s.dest);
         inst["s"] = Value("t");
         inst["args"]["cause"] =
             Value(s.dropped_by_sender
@@ -165,20 +144,17 @@ void export_chrome_flows(std::ostream& os, const History& h,
 
   // De-stabilizing events.
   for (Round r : h.coterie_change_rounds()) {
-    Value inst = flow_record("coterie change", "i", r * us + us - 1, 0);
+    Value inst = chrome_record("coterie change", "i", r * us + us - 1, 0);
     inst["s"] = Value("g");
     out.push_back(std::move(inst));
   }
 
-  Value doc;
-  doc["traceEvents"] = Value(std::move(out));
-  doc["displayTimeUnit"] = Value("ms");
-  os << doc.to_string() << "\n";
+  os << chrome_document(std::move(out), "ms") << "\n";
 }
 
-std::string chrome_flows_to_string(const History& h, ChromeFlowOptions options) {
+std::string chrome_flows_to_string(const History& h) {
   std::ostringstream os;
-  export_chrome_flows(os, h, options);
+  export_chrome_flows(os, h);
   return os.str();
 }
 

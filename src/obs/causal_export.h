@@ -24,24 +24,12 @@
 
 namespace ftss {
 
-struct CausalDotOptions {
-  Round from_round = 1;
-  Round to_round = 0;     // 0 = end of history
-  bool cluster_rounds = true;  // rank-align nodes of the same round
-};
+// Rank-aligned clusters, one per round, over the whole history.
+void export_causal_dot(std::ostream& os, const History& h);
+std::string causal_dot_to_string(const History& h);
 
-void export_causal_dot(std::ostream& os, const History& h,
-                       CausalDotOptions options = {});
-std::string causal_dot_to_string(const History& h,
-                                 CausalDotOptions options = {});
-
-struct ChromeFlowOptions {
-  std::int64_t us_per_round = 1000;
-};
-
-void export_chrome_flows(std::ostream& os, const History& h,
-                         ChromeFlowOptions options = {});
-std::string chrome_flows_to_string(const History& h,
-                                   ChromeFlowOptions options = {});
+// kChromeUsPerRound (obs/trace.h) virtual microseconds per round.
+void export_chrome_flows(std::ostream& os, const History& h);
+std::string chrome_flows_to_string(const History& h);
 
 }  // namespace ftss

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sim/simulator.h"
 
 namespace ftss {
@@ -393,31 +394,23 @@ std::string flight_dump_to_chrome(const FlightDump& dump) {
   Value::Array events;
   for (const FlightThreadDump& td : dump.threads) {
     for (const FlightEvent& e : td.events) {
-      Value ev;
       const char* name = flight_cat_name(static_cast<FlightCat>(e.cat));
-      ev["name"] = Value(name);
+      const bool span = static_cast<FlightKind>(e.kind) == FlightKind::kSpan;
+      // Chrome timestamps are microseconds.
+      Value ev = chrome_record(name, span ? "X" : "i", e.t_ns / 1000, td.tid,
+                               /*pid=*/1);
       ev["cat"] = Value(name);
-      ev["pid"] = Value(1);
-      ev["tid"] = Value(td.tid);
-      ev["ts"] = Value(e.t_ns / 1000);  // Chrome timestamps are microseconds
-      Value args;
-      args["a"] = Value(e.a);
-      args["b"] = Value(e.b);
-      if (static_cast<FlightKind>(e.kind) == FlightKind::kSpan) {
-        ev["ph"] = Value("X");
+      if (span) {
         ev["dur"] = Value(e.b / 1000);
       } else {
-        ev["ph"] = Value("i");
         ev["s"] = Value("t");
       }
-      ev["args"] = std::move(args);
+      ev["args"]["a"] = Value(e.a);
+      ev["args"]["b"] = Value(e.b);
       events.push_back(std::move(ev));
     }
   }
-  Value doc;
-  doc["traceEvents"] = Value(std::move(events));
-  doc["displayTimeUnit"] = Value("ns");
-  return doc.to_string();
+  return chrome_document(std::move(events), "ns");
 }
 
 // --- Failure artifacts ----------------------------------------------------

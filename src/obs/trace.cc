@@ -38,40 +38,43 @@ std::string JsonlTraceSink::to_string() const {
   return os.str();
 }
 
-void ChromeTraceSink::event(const TraceEvent& e) { events_.push_back(e); }
-
-namespace {
-
-// One trace_event record.  All fields are integers or strings, so the
-// repo's Value type renders it with correct escaping.
-Value chrome_record(const char* name, const char* ph, std::int64_t ts,
-                    std::int64_t tid) {
+Value chrome_record(std::string name, const char* ph, std::int64_t ts,
+                    std::int64_t tid, std::int64_t pid) {
   Value v;
-  v["name"] = Value(name);
+  v["name"] = Value(std::move(name));
   v["ph"] = Value(ph);
-  v["pid"] = Value(0);
+  v["pid"] = Value(pid);
   v["tid"] = Value(tid);
   v["ts"] = Value(ts);
   return v;
 }
+
+std::string chrome_document(Value::Array events, const char* time_unit) {
+  Value doc;
+  doc["traceEvents"] = Value(std::move(events));
+  doc["displayTimeUnit"] = Value(time_unit);
+  return doc.to_string();
+}
+
+void ChromeTraceSink::event(const TraceEvent& e) { events_.push_back(e); }
+
+namespace {
 
 constexpr std::int64_t kRoundsTrack = 1000000;  // tid of the rounds lane
 
 }  // namespace
 
 void ChromeTraceSink::write(std::ostream& os) const {
-  const std::int64_t us = std::max<std::int64_t>(options_.us_per_round, 4);
+  constexpr std::int64_t us = kChromeUsPerRound;
   Value::Array out;
 
-  // Pass 1: the processes and rounds the trace mentions, and which flows
-  // complete.  A flow arrow needs both endpoints; dropped or still-in-flight
-  // messages get no "s" record (the drop instant marks them instead).
+  // Pass 1: the processes the trace mentions, and which flows complete.  A
+  // flow arrow needs both endpoints; dropped or still-in-flight messages get
+  // no "s" record (the drop instant marks them instead).
   ProcessId max_p = -1;
-  Round max_r = 0;
   std::set<std::int64_t> delivered_flows;
   for (const TraceEvent& e : events_) {
     max_p = std::max({max_p, e.process, e.peer});
-    max_r = std::max(max_r, e.round);
     if (e.kind == TraceEventKind::kDeliver && e.flow_id >= 0) {
       delivered_flows.insert(e.flow_id);
     }
@@ -94,14 +97,13 @@ void ChromeTraceSink::write(std::ostream& os) const {
     if (e.kind != TraceEventKind::kRoundBegin) continue;
     const std::int64_t ts = e.round * us;
     {
-      Value span = chrome_record(
-          ("round " + std::to_string(e.round)).c_str(), "X", ts, kRoundsTrack);
+      Value span = chrome_record("round " + std::to_string(e.round), "X", ts,
+                                 kRoundsTrack);
       span["dur"] = Value(us);
       out.push_back(std::move(span));
     }
     for (ProcessId p = 0; p <= max_p; ++p) {
-      Value span = chrome_record(("r" + std::to_string(e.round)).c_str(), "X",
-                                 ts, p);
+      Value span = chrome_record("r" + std::to_string(e.round), "X", ts, p);
       span["dur"] = Value(us);
       out.push_back(std::move(span));
     }
@@ -141,9 +143,8 @@ void ChromeTraceSink::write(std::ostream& os) const {
         break;
       }
       case TraceEventKind::kClockAdopt: {
-        Value counter =
-            chrome_record(("clock_" + std::to_string(e.process)).c_str(), "C",
-                          ts + us - 1, e.process);
+        Value counter = chrome_record("clock_" + std::to_string(e.process),
+                                      "C", ts + us - 1, e.process);
         counter["args"]["value"] = Value(e.aux);
         out.push_back(std::move(counter));
         break;
@@ -173,10 +174,7 @@ void ChromeTraceSink::write(std::ostream& os) const {
     }
   }
 
-  Value doc;
-  doc["traceEvents"] = Value(std::move(out));
-  doc["displayTimeUnit"] = Value("ms");
-  os << doc.to_string() << "\n";
+  os << chrome_document(std::move(out), "ms") << "\n";
 }
 
 std::string ChromeTraceSink::to_string() const {

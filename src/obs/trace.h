@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <iosfwd>
 #include <string>
@@ -50,16 +51,25 @@ class JsonlTraceSink : public TraceSink {
   std::deque<Value> events_;
 };
 
-struct ChromeTraceOptions {
-  // Virtual microseconds per simulated round (the trace's time axis).
-  std::int64_t us_per_round = 1000;
-};
+// Chrome trace_event building blocks shared by every Chrome writer: this
+// sink, export_chrome_flows (obs/causal_export.h) and flight_dump_to_chrome
+// (obs/flight.h).
+//
+// One trace_event record; writers add "dur", "id", "s", "args" as needed.
+// All fields are integers or strings, so Value renders it with correct
+// escaping (and sorted keys, so field order never varies).
+Value chrome_record(std::string name, const char* ph, std::int64_t ts,
+                    std::int64_t tid, std::int64_t pid = 0);
+// The rendered {"traceEvents": [...], "displayTimeUnit": ...} document,
+// without a trailing newline.
+std::string chrome_document(Value::Array events, const char* time_unit);
+
+// Virtual microseconds per simulated round: the time axis of the two
+// virtual-time writers (this sink and export_chrome_flows).
+inline constexpr std::int64_t kChromeUsPerRound = 1000;
 
 class ChromeTraceSink : public TraceSink {
  public:
-  explicit ChromeTraceSink(ChromeTraceOptions options = {})
-      : options_(options) {}
-
   void event(const TraceEvent& e) override;
 
   // Complete {"traceEvents": [...]} document.
@@ -67,7 +77,6 @@ class ChromeTraceSink : public TraceSink {
   std::string to_string() const;
 
  private:
-  ChromeTraceOptions options_;
   std::deque<TraceEvent> events_;
 };
 

@@ -4,10 +4,11 @@
 //
 // Both differential legs — the event-simulator lock-step driver
 // (conform/lockstep.cc) and the socket transport leg (net/transport.cc) —
-// run the sync simulator first and read every message's fate (delivered /
+// replay the sync simulator's run through the shared replay books
+// (check/replay_books.h), which read every message's fate (delivered /
 // dropped and by whom, plus the delivery round) off its audited history.
-// The extraction and the code<->name mapping live here, in sim/, so the two
-// replayers and the history differ agree byte-for-byte on what a fate *is*.
+// The extraction and the code<->name mapping live here, in sim/, so the
+// books and the history differ agree byte-for-byte on what a fate *is*.
 #pragma once
 
 #include <map>

@@ -12,6 +12,7 @@
 #include "check/explorer.h"
 #include "core/compiler.h"
 #include "obs/causal_export.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "protocols/floodset.h"
 #include "sim/history_dump.h"
@@ -381,6 +382,61 @@ TEST(CausalExport, DotContainsProcessRoundNodesAndMessageEdges) {
   const auto doc = Value::parse(flows);
   ASSERT_TRUE(doc.has_value());
   EXPECT_GT(doc->at("traceEvents").size(), 0u);
+}
+
+std::uint64_t fnv1a(std::uint64_t h, const std::string& bytes) {
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The tests above parse the exporters' output; this one pins its exact
+// bytes, so a refactor of the writers cannot move a single character.
+// Each fold covers traced_sim() without and with jitter (the second run
+// adds in-flight-at-end drops).
+TEST(Exporters, OutputBytesArePinned) {
+  std::uint64_t trace = 0xcbf29ce484222325ULL;
+  std::uint64_t flows = trace;
+  std::uint64_t dot = trace;
+  for (const int delay : {0, 2}) {
+    SyncSimulator sim = traced_sim(delay);
+    ChromeTraceSink sink;
+    sim.set_trace_sink(&sink);
+    sim.run_rounds(5);
+    trace = fnv1a(trace, sink.to_string());
+    flows = fnv1a(flows, chrome_flows_to_string(sim.history()));
+    dot = fnv1a(dot, causal_dot_to_string(sim.history()));
+  }
+  EXPECT_EQ(trace, 0xdf02b518a6f20949ULL) << std::hex << trace;
+  EXPECT_EQ(flows, 0xfe25d7e865d515ffULL) << std::hex << flows;
+  EXPECT_EQ(dot, 0x261781d3ed2d1d6dULL) << std::hex << dot;
+
+  // A hand-built two-thread flight dump: recorded dumps carry wall-clock
+  // timestamps, so only a constructed one has stable bytes.
+  const auto event = [](std::int64_t t_ns, FlightCat cat, FlightKind kind,
+                        std::int64_t a, std::int64_t b) {
+    return FlightEvent{.t_ns = t_ns,
+                       .cat = static_cast<std::uint16_t>(cat),
+                       .kind = static_cast<std::uint16_t>(kind),
+                       .a = a,
+                       .b = b};
+  };
+  FlightDump dump;
+  dump.threads.push_back(FlightThreadDump{
+      .tid = 0,
+      .events = {event(1500, FlightCat::kTrial, FlightKind::kSpan, 7, 2500000),
+                 event(4000, FlightCat::kReject, FlightKind::kInstant, 2, 5)}});
+  dump.threads.push_back(FlightThreadDump{
+      .tid = 3,
+      .events_dropped = 9,
+      .events = {event(2000, FlightCat::kRound, FlightKind::kSpan, 1, 999),
+                 event(3500000, FlightCat::kMark, FlightKind::kInstant, -1,
+                       42)}});
+  const std::uint64_t flight =
+      fnv1a(0xcbf29ce484222325ULL, flight_dump_to_chrome(dump));
+  EXPECT_EQ(flight, 0x4976952ef370034eULL) << std::hex << flight;
 }
 
 TEST(Dump, ShowSuspectsRendersCompiledSuspectSets) {
