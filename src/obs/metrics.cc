@@ -217,25 +217,30 @@ void MetricsRegistry::observe_nanos(const std::string& name,
 
 void record_history_metrics(const History& h, MetricsRegistry& m) {
   m.add("rounds", h.length());
+  // Per-send counts stay in locals: one registry lookup per counter per
+  // history, not per send.  A count that never fired adds no key.
+  std::int64_t sent = 0, delayed = 0, delivered = 0, send_omission = 0,
+               receive_omission = 0, dest_crashed = 0, in_flight = 0,
+               frame_corrupt = 0;
   std::int64_t suspect_churn = 0;
   const std::vector<std::vector<ProcessId>>* prev_suspects = nullptr;
   const std::vector<bool>* prev_coterie = nullptr;
   for (const RoundRecord& rec : h.rounds) {
     for (const SendRecord& s : rec.sends) {
-      m.add("msgs_sent");
-      if (s.delivery_round != s.sent_round) m.add("msgs_delayed");
+      ++sent;
+      if (s.delivery_round != s.sent_round) ++delayed;
       if (s.delivered) {
-        m.add("msgs_delivered");
+        ++delivered;
       } else if (s.dropped_by_sender) {
-        m.add("msgs_dropped_send_omission");
+        ++send_omission;
       } else if (s.dropped_by_receiver) {
-        m.add("msgs_dropped_receive_omission");
+        ++receive_omission;
       } else if (s.dest_crashed) {
-        m.add("msgs_dropped_dest_crashed");
+        ++dest_crashed;
       } else if (s.lost_in_flight) {
-        m.add("msgs_in_flight_at_end");
+        ++in_flight;
       } else if (s.frame_corrupted) {
-        m.add("msgs_dropped_frame_corrupt");
+        ++frame_corrupt;
       }
     }
     std::int64_t size = 0;
@@ -256,6 +261,17 @@ void record_history_metrics(const History& h, MetricsRegistry& m) {
       prev_suspects = &rec.suspects;
     }
   }
+  const auto add_fired = [&m](const char* name, std::int64_t count) {
+    if (count > 0) m.add(name, count);
+  };
+  add_fired("msgs_sent", sent);
+  add_fired("msgs_delayed", delayed);
+  add_fired("msgs_delivered", delivered);
+  add_fired("msgs_dropped_send_omission", send_omission);
+  add_fired("msgs_dropped_receive_omission", receive_omission);
+  add_fired("msgs_dropped_dest_crashed", dest_crashed);
+  add_fired("msgs_in_flight_at_end", in_flight);
+  add_fired("msgs_dropped_frame_corrupt", frame_corrupt);
   if (suspect_churn > 0 || prev_suspects != nullptr) {
     m.add("suspect_churn", suspect_churn);
   }
