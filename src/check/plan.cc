@@ -37,6 +37,16 @@ std::optional<CorruptionSpec::Kind> parse_corruption_kind(const std::string& s) 
   return std::nullopt;
 }
 
+// The integer at `key` (`fallback` when absent or not an integer) if it
+// lies in [lo, hi].  The check runs on the int64 before narrowing to int, so
+// an out-of-range value is rejected instead of wrapping into the domain.
+std::optional<int> int_in(const Value& v, const char* key,
+                          std::int64_t fallback, int lo, int hi) {
+  const std::int64_t x = v.at(key).int_or(fallback);
+  if (x < lo || x > hi) return std::nullopt;
+  return static_cast<int>(x);
+}
+
 }  // namespace
 
 FaultPlan TrialPlan::fault_plan_for(ProcessId p) const {
@@ -124,43 +134,46 @@ std::optional<TrialPlan> TrialPlan::from_value(const Value& v) {
   plan.mode = *mode;
   plan.weakened = *weakened;
   plan.protocol = v.at("protocol").string_or("");
-  plan.n = static_cast<int>(v.at("n").int_or(0));
-  plan.f_budget = static_cast<int>(v.at("f").int_or(1));
-  plan.max_extra_delay = static_cast<int>(v.at("delay").int_or(0));
-  plan.rounds = static_cast<int>(v.at("rounds").int_or(0));
-  if (plan.n < 1 || plan.n > 128 || plan.rounds < 1 || plan.rounds > 100000 ||
-      plan.max_extra_delay < 0 || plan.max_extra_delay > 64) {
-    return std::nullopt;
-  }
+  // f shares n's cap: every protocol's final_round is f + 1, so f must stay
+  // non-negative and far from int overflow.
+  const auto n = int_in(v, "n", 0, 1, 128);
+  const auto f_budget = int_in(v, "f", 1, 0, 128);
+  const auto delay = int_in(v, "delay", 0, 0, 64);
+  const auto rounds = int_in(v, "rounds", 0, 1, 100000);
+  if (!n || !f_budget || !delay || !rounds) return std::nullopt;
+  plan.n = *n;
+  plan.f_budget = *f_budget;
+  plan.max_extra_delay = *delay;
+  plan.rounds = *rounds;
   const Value& fs = v.at("faults");
   if (fs.is_array()) {
     for (const auto& e : fs.as_array()) {
-      FaultSpec f;
-      f.process = static_cast<ProcessId>(e.at("p").int_or(-1));
       auto kind = parse_fault_kind(e.at("kind").string_or(""));
-      if (!kind || f.process < 0 || f.process >= plan.n) return std::nullopt;
+      const auto p = int_in(e, "p", -1, 0, plan.n - 1);
+      // kAllPeers is -1, so [kAllPeers, n) is "every peer, or one process".
+      const auto peer = int_in(e, "peer", OmissionRule::kAllPeers,
+                               OmissionRule::kAllPeers, plan.n - 1);
+      const auto permille = int_in(e, "permille", 1000, 1, 1000);
+      if (!kind || !p || !peer || !permille) return std::nullopt;
+      FaultSpec f;
+      f.process = *p;
       f.kind = *kind;
       f.onset = e.at("onset").int_or(1);
-      f.until = e.contains("until") ? e.at("until").int_or(FaultSpec::kNoEnd)
-                                    : FaultSpec::kNoEnd;
-      f.peer = static_cast<ProcessId>(
-          e.contains("peer") ? e.at("peer").int_or(OmissionRule::kAllPeers)
-                             : OmissionRule::kAllPeers);
-      f.permille = static_cast<int>(e.at("permille").int_or(1000));
-      if (f.onset < 1 || f.until < f.onset || f.permille < 1 ||
-          f.permille > 1000) {
-        return std::nullopt;
-      }
+      f.until = e.at("until").int_or(FaultSpec::kNoEnd);
+      f.peer = *peer;
+      f.permille = *permille;
+      if (f.onset < 1 || f.until < f.onset) return std::nullopt;
       plan.faults.push_back(f);
     }
   }
   const Value& cs = v.at("corruptions");
   if (cs.is_array()) {
     for (const auto& e : cs.as_array()) {
-      CorruptionSpec c;
-      c.process = static_cast<ProcessId>(e.at("p").int_or(-1));
       auto kind = parse_corruption_kind(e.at("kind").string_or(""));
-      if (!kind || c.process < 0 || c.process >= plan.n) return std::nullopt;
+      const auto p = int_in(e, "p", -1, 0, plan.n - 1);
+      if (!kind || !p) return std::nullopt;
+      CorruptionSpec c;
+      c.process = *p;
       c.kind = *kind;
       c.magnitude = e.at("magnitude").int_or(0);
       c.value_seed = static_cast<std::uint64_t>(e.at("value_seed").int_or(0));

@@ -211,5 +211,53 @@ TEST(CheckRegressions, PinnedPlansRoundTripThroughSerialization) {
   }
 }
 
+// Replay input is untrusted, so from_value range-checks every integer as
+// an int64 before narrowing it to int.  Each of these plans once got
+// through: "f": -1 made final_round() 0 and floor_mod divided by it
+// (SIGFPE), "f": INT_MAX overflowed final_round()'s f + 1, and values just
+// above 2^32 wrapped to a different plan (n=4, 10 rounds, a crash of p1).
+TEST(CheckRegressions, FromValueRejectsOutOfRangeIntegers) {
+  constexpr const char* kCompiledHead =
+      R"({"seed":7,"mode":"compiled","protocol":"floodset-consensus",)"
+      R"("weakened":"none","n":4,"delay":0,"rounds":10,"corruptions":[],)"
+      R"("faults":[],)";
+  const std::string rejected[] = {
+      std::string(kCompiledHead) + R"("f":-1})",
+      std::string(kCompiledHead) + R"("f":2147483647})",
+      R"({"seed":7,"mode":"round-agreement","weakened":"none",)"
+      R"("n":4294967300,"f":1,"delay":0,"rounds":4294967306,)"
+      R"("faults":[{"kind":"crash","p":4294967297,"onset":3}],)"
+      R"("corruptions":[]})",
+  };
+  for (const std::string& json : rejected) {
+    const auto value = Value::parse(json);
+    ASSERT_TRUE(value.has_value()) << json;
+    EXPECT_FALSE(TrialPlan::from_value(*value).has_value()) << json;
+  }
+
+  // The domains' edges still parse: f from 0 to n's cap of 128, and an
+  // omission peer that is kAllPeers or a process in [0, n).
+  const TrialPlan edge = parse_plan(
+      R"({"seed":7,"mode":"compiled","protocol":"floodset-consensus",)"
+      R"("weakened":"none","n":4,"f":128,"delay":64,"rounds":100000,)"
+      R"("corruptions":[{"kind":"clock","magnitude":0,"p":3}],)"
+      R"("faults":[{"kind":"send-omission","onset":1,"p":3,"peer":3,)"
+      R"("permille":1,"until":2}]})");
+  EXPECT_EQ(edge.f_budget, 128);
+  EXPECT_EQ(edge.faults.at(0).peer, 3);
+  for (const char* fault :
+       {R"({"kind":"send-omission","onset":1,"p":0,"peer":4})",
+        R"({"kind":"send-omission","onset":1,"p":0,"peer":-2})",
+        R"({"kind":"send-omission","onset":1,"p":0,"permille":4294968296})",
+        R"({"kind":"crash","onset":1,"p":4})"}) {
+    const std::string json =
+        R"({"mode":"round-agreement","n":4,"rounds":10,"faults":[)" +
+        std::string(fault) + "]}";
+    const auto value = Value::parse(json);
+    ASSERT_TRUE(value.has_value()) << json;
+    EXPECT_FALSE(TrialPlan::from_value(*value).has_value()) << json;
+  }
+}
+
 }  // namespace
 }  // namespace ftss
