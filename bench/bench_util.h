@@ -8,10 +8,10 @@
 //
 // Machine-readable output: every bench accepts `--json PATH` and then also
 // writes a BENCH_*.json document (schema "ftss-bench-v1") containing the
-// printed tables, pass/fail checks, optional metrics, and per-benchmark
-// timings — the perf-trajectory record compared across PRs.  Wire-up per
-// binary is three lines: construct a JsonEmitter before printing tables,
-// run benchmarks through it, return finish().
+// host context it ran on, the printed tables, pass/fail checks, optional
+// metrics, and per-benchmark timings — the perf-trajectory record compared
+// across PRs.  Wire-up per binary is three lines: construct a JsonEmitter
+// before printing tables, run benchmarks through it, return finish().
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -20,11 +20,29 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/value.h"
 
 namespace ftss::bench {
+
+// The host and build a document was measured on, under the keys of
+// perfbench's host_context(): timings taken on different core counts,
+// compilers, build types or AVX2 paths are not comparable.  The build facts
+// arrive as compile definitions (bench/CMakeLists.txt, and
+// perfbench/CMakeLists.txt for ftss_bench).
+inline Value host_context() {
+  Value c;
+  c["nproc"] = Value(static_cast<std::int64_t>(
+      std::max(1u, std::thread::hardware_concurrency())));
+  c["compiler"] = Value(FTSS_BENCH_COMPILER);
+  c["build_type"] = Value(FTSS_BENCH_BUILD_TYPE);
+  c["ftss_avx2"] = Value(static_cast<bool>(FTSS_BENCH_AVX2));
+  __builtin_cpu_init();
+  c["cpu_avx2"] = Value(__builtin_cpu_supports("avx2") != 0);
+  return c;
+}
 
 class JsonEmitter;
 inline JsonEmitter*& active_emitter() {
@@ -157,6 +175,7 @@ class JsonEmitter {
     Value doc;
     doc["schema"] = Value("ftss-bench-v1");
     doc["bench"] = Value(name_);
+    doc["context"] = host_context();
     doc["tables"] = Value(std::move(tables_));
     doc["checks"] = Value(std::move(checks_));
     if (!metrics_.is_null()) doc["metrics"] = std::move(metrics_);

@@ -32,6 +32,12 @@ filtered subsets); pass --all-benchmarks for full runs (e.g. the nightly
 grid) to make those removals fail too.  Counters whose name
 marks them as wall-clock (.._ns, .._ns_p50/p99) get the wide time tolerance;
 the tight counter tolerance is reserved for deterministic work counters.
+Each compared file pair prints both documents' "context" (the host and
+build the bench ran on: nproc, compiler, build type, AVX2).  When the two
+differ, or a side predates the context block, every timing row is tagged
+"cross-host": its delta mixes machines, so read it as a hint, not a
+measurement.  The tag changes no verdict, tolerance or exit code, and
+--structural ignores the context altogether.
 Exit status is 1 if any regression or hard removal was found, else 0.  CI
 wires the perf deltas in as a non-blocking report (shared runners are
 noisy, so a red compare is a prompt to look at the numbers, not a merge
@@ -66,12 +72,26 @@ def is_rate_counter(name):
     return name.endswith("_per_second") or name.endswith("_per_second_milli")
 
 
+def is_timing(metric):
+    """Rows whose value is wall or CPU time, and so depends on the host."""
+    return metric == "cpu_ns_per_iter" or is_wall_clock_counter(metric)
+
+
 def load(path):
+    """The document's timings by benchmark name, and its host context (None
+    for documents written before benches recorded one)."""
     with open(path) as f:
         data = json.load(f)
     if data.get("schema") != "ftss-bench-v1":
         raise SystemExit(f"{path}: unsupported schema {data.get('schema')!r}")
-    return {t["name"]: t for t in data.get("timings", [])}
+    timings = {t["name"]: t for t in data.get("timings", [])}
+    return timings, data.get("context")
+
+
+def describe_context(context):
+    if context is None:
+        return "(none recorded)"
+    return ", ".join(f"{k}={json.dumps(v)}" for k, v in sorted(context.items()))
 
 
 def compare_metric(name, metric, base, fresh, tolerance, rows):
@@ -85,8 +105,9 @@ def compare_metric(name, metric, base, fresh, tolerance, rows):
 
 def compare_files(baseline_path, fresh_path, tolerance, all_benchmarks=False,
                   structural=False):
-    baseline = load(baseline_path)
-    fresh = load(fresh_path)
+    baseline, baseline_context = load(baseline_path)
+    fresh, fresh_context = load(fresh_path)
+    cross_host = baseline_context != fresh_context or baseline_context is None
     rows = []
     new_counters = []
     removed_counters = []
@@ -138,11 +159,15 @@ def compare_files(baseline_path, fresh_path, tolerance, all_benchmarks=False,
         print(f"\n== {os.path.basename(baseline_path)} "
               f"(tolerance {tolerance:.0%} time, "
               f"{COUNTER_TOLERANCE:.0%} counters)")
+        print(f"  baseline context: {describe_context(baseline_context)}")
+        print(f"  fresh context:    {describe_context(fresh_context)}")
         if not rows:
             print("  no overlapping benchmarks")
     width = max((len(r[0]) for r in rows), default=0)
     for name, metric, base, fr, delta, bad in rows:
         flag = "REGRESSED" if bad else ("improved" if delta < -0.05 else "ok")
+        if cross_host and is_timing(metric):
+            flag += " cross-host"
         print(f"  {name:<{width}}  {metric:<18} {base:>14.6g} -> {fr:>14.6g} "
               f"({delta:+7.1%})  {flag}")
     for name, counter, value in new_counters:
