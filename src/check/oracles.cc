@@ -120,64 +120,74 @@ void audit_history(const History& h, const TrialPlan& plan,
         add(out, "audit-crash", os.str());
         return;
       }
-      if (sr.dropped_by_sender) {
-        if (!idx.licensed(idx.send_specs[sr.sender], sr.sent_round, sr.dest)) {
+      switch (sr.fate) {
+        case Fate::kDroppedBySender:
+          if (!idx.licensed(idx.send_specs[sr.sender], sr.sent_round,
+                            sr.dest)) {
+            add(out, "audit-omission",
+                "unlicensed send drop: " + describe_send(sr));
+            return;
+          }
+          break;
+        case Fate::kDestCrashed:
+          if (!idx.crash_at[sr.dest] ||
+              sr.delivery_round < *idx.crash_at[sr.dest]) {
+            add(out, "audit-crash",
+                "message eaten by non-crash: " + describe_send(sr));
+            return;
+          }
+          break;
+        case Fate::kDroppedByReceiver:
+          if (!idx.licensed(idx.receive_specs[sr.dest], sr.delivery_round,
+                            sr.sender)) {
+            add(out, "audit-omission",
+                "unlicensed receive drop: " + describe_send(sr));
+            return;
+          }
+          break;
+        case Fate::kLostInFlight:
+          // Legal only when the scheduled delivery round lies beyond the
+          // run: otherwise the message should have resolved inside the
+          // history.
+          if (sr.delivery_round <= h.length()) {
+            add(out, "audit-omission",
+                "in-flight flush inside the run: " + describe_send(sr));
+            return;
+          }
+          break;
+        case Fate::kFrameCorrupted:
+          // Frame corruption only exists on the serialized transport leg; a
+          // sync-simulator history claiming it is lying about the model.
           add(out, "audit-omission",
-              "unlicensed send drop: " + describe_send(sr));
+              "frame corruption in an in-memory history: " +
+                  describe_send(sr));
           return;
-        }
-      } else if (sr.dest_crashed) {
-        if (!idx.crash_at[sr.dest] ||
-            sr.delivery_round < *idx.crash_at[sr.dest]) {
-          add(out, "audit-crash",
-              "message eaten by non-crash: " + describe_send(sr));
-          return;
-        }
-      } else if (sr.dropped_by_receiver) {
-        if (!idx.licensed(idx.receive_specs[sr.dest], sr.delivery_round,
-                          sr.sender)) {
+        case Fate::kDelivered:
+          if (sr.sender != sr.dest &&
+              idx.must_drop(idx.send_specs[sr.sender], sr.sent_round,
+                            sr.dest)) {
+            add(out, "audit-omission",
+                "must-drop send delivered: " + describe_send(sr));
+            return;
+          }
+          if (sr.sender != sr.dest &&
+              idx.must_drop(idx.receive_specs[sr.dest], sr.delivery_round,
+                            sr.sender)) {
+            add(out, "audit-omission",
+                "must-drop receive delivered: " + describe_send(sr));
+            return;
+          }
+          if (idx.crash_at[sr.dest] &&
+              sr.delivery_round >= *idx.crash_at[sr.dest]) {
+            add(out, "audit-crash",
+                "delivered to crashed dest: " + describe_send(sr));
+            return;
+          }
+          break;
+        case Fate::kUnresolved:
           add(out, "audit-omission",
-              "unlicensed receive drop: " + describe_send(sr));
+              "undelivered with no cause: " + describe_send(sr));
           return;
-        }
-      } else if (sr.lost_in_flight) {
-        // Legal only when the scheduled delivery round lies beyond the run:
-        // otherwise the message should have resolved inside the history.
-        if (sr.delivery_round <= h.length()) {
-          add(out, "audit-omission",
-              "in-flight flush inside the run: " + describe_send(sr));
-          return;
-        }
-      } else if (sr.frame_corrupted) {
-        // Frame corruption only exists on the serialized transport leg; a
-        // sync-simulator history claiming it is lying about the model.
-        add(out, "audit-omission",
-            "frame corruption in an in-memory history: " + describe_send(sr));
-        return;
-      } else if (sr.delivered) {
-        if (sr.sender != sr.dest &&
-            idx.must_drop(idx.send_specs[sr.sender], sr.sent_round, sr.dest)) {
-          add(out, "audit-omission",
-              "must-drop send delivered: " + describe_send(sr));
-          return;
-        }
-        if (sr.sender != sr.dest &&
-            idx.must_drop(idx.receive_specs[sr.dest], sr.delivery_round,
-                          sr.sender)) {
-          add(out, "audit-omission",
-              "must-drop receive delivered: " + describe_send(sr));
-          return;
-        }
-        if (idx.crash_at[sr.dest] &&
-            sr.delivery_round >= *idx.crash_at[sr.dest]) {
-          add(out, "audit-crash",
-              "delivered to crashed dest: " + describe_send(sr));
-          return;
-        }
-      } else {
-        add(out, "audit-omission",
-            "undelivered with no cause: " + describe_send(sr));
-        return;
       }
     }
   }

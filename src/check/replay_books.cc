@@ -107,10 +107,10 @@ std::optional<std::int64_t> ReplayBooks::send(Round r, ProcessId sender,
   pend.dest = dest;
   pend.sent_round = r;
   pend.delivery_round = fate.delivery_round;
-  pend.fate = fate.code;
-  if (fate.code == kFateDroppedBySender) {
+  pend.fate = fate.fate;
+  if (fate.fate == Fate::kDroppedBySender) {
     // Never enters the network; the observer records the drop at send time.
-    resolve(pend, r, kFateDroppedBySender, std::move(payload));
+    resolve(pend, r, Fate::kDroppedBySender, std::move(payload));
     return std::nullopt;
   }
   pend.payload = std::move(payload);
@@ -145,7 +145,7 @@ ReplayBooks::Pending* ReplayBooks::claim(Round r, ProcessId dest,
   return &pend;
 }
 
-void ReplayBooks::resolve(Pending& pend, Round r, int fate, Value payload) {
+void ReplayBooks::resolve(Pending& pend, Round r, Fate fate, Value payload) {
   pend.resolved = true;
   SendRecord sr;
   sr.sender = pend.sender;
@@ -153,28 +153,13 @@ void ReplayBooks::resolve(Pending& pend, Round r, int fate, Value payload) {
   sr.sent_round = pend.sent_round;
   sr.delivery_round = r;
   sr.payload = std::move(payload);
-  switch (fate) {
-    case kFateDelivered:
-      sr.delivered = true;
-      causality_.deliver_snapshot(pend.influence, pend.dest);
-      break;
-    case kFateDroppedBySender:
-      sr.dropped_by_sender = true;
-      fault_manifested_[pend.sender] = true;
-      break;
-    case kFateDroppedByReceiver:
-      sr.dropped_by_receiver = true;
-      fault_manifested_[pend.dest] = true;
-      break;
-    case kFateDestCrashed:
-      sr.dest_crashed = true;
-      break;
-    case kFateLostInFlight:
-      sr.lost_in_flight = true;
-      break;
-    case kFateFrameCorrupted:
-      sr.frame_corrupted = true;
-      break;
+  sr.fate = fate;
+  if (fate == Fate::kDelivered) {
+    causality_.deliver_snapshot(pend.influence, pend.dest);
+  } else if (fate == Fate::kDroppedBySender) {
+    fault_manifested_[pend.sender] = true;
+  } else if (fate == Fate::kDroppedByReceiver) {
+    fault_manifested_[pend.dest] = true;
   }
   rec_of(std::min(r, final_)).sends.push_back(std::move(sr));
 }
@@ -182,14 +167,14 @@ void ReplayBooks::resolve(Pending& pend, Round r, int fate, Value payload) {
 void ReplayBooks::end_round(Round r, const std::vector<bool>& crashed) {
   for (Pending& pend : pendings_) {
     if (pend.resolved || pend.delivery_round != r) continue;
-    if (pend.fate != kFateDestCrashed || !crashed[pend.dest]) {
+    if (pend.fate != Fate::kDestCrashed || !crashed[pend.dest]) {
       std::ostringstream os;
       os << "p" << pend.sender << "->p" << pend.dest << " vanished in the "
          << leg_ << " leg (resolved fate " << fate_name(pend.fate)
          << ", dest crashed=" << crashed[pend.dest] << ")";
       report("schedule", r, os.str());
     }
-    resolve(pend, r, kFateDestCrashed, pend.payload);
+    resolve(pend, r, Fate::kDestCrashed, pend.payload);
   }
 
   RoundRecord& rec = rec_of(r);
@@ -203,7 +188,7 @@ void ReplayBooks::end_round(Round r, const std::vector<bool>& crashed) {
 
 void ReplayBooks::close(const std::vector<bool>& crashed) {
   // Mirror of the sync observer's books-closing: sends still in flight when
-  // the run stops become lost_in_flight records in the final round, in
+  // the run stops become Fate::kLostInFlight records in the final round, in
   // delivery-round order.
   std::vector<Pending*> lost;
   for (Pending& pend : pendings_) {
@@ -214,7 +199,7 @@ void ReplayBooks::close(const std::vector<bool>& crashed) {
                      return a->delivery_round < b->delivery_round;
                    });
   for (Pending* pend : lost) {
-    resolve(*pend, pend->delivery_round, kFateLostInFlight, pend->payload);
+    resolve(*pend, pend->delivery_round, Fate::kLostInFlight, pend->payload);
   }
 
   for (const auto& [key, fq] : fates_) {

@@ -69,7 +69,7 @@ class ReplayBooks {
     ProcessId dest = -1;
     Round sent_round = 0;
     Round delivery_round = 0;
-    int fate = kFateDelivered;
+    Fate fate = Fate::kDelivered;
     Value payload;
     ProcessSet influence;  // sender's happened-before snapshot at send time
     bool resolved = false;
@@ -118,16 +118,16 @@ class ReplayBooks {
   // A delivery updates the happened-before relation, an omission manifests
   // its faulty party.  Records past the final round (lost in flight) go
   // into the final round's.
-  void resolve(Pending& pend, Round r, int fate, Value payload);
+  void resolve(Pending& pend, Round r, Fate fate, Value payload);
   // Closes round r: a message due this round that the leg never resolved
   // was withheld, which is right exactly when the schedule says its
   // destination crashed and the leg's `crashed` vector agrees.  Then the
   // round's faulty set and coterie.
   void end_round(Round r, const std::vector<bool>& crashed);
 
-  // Closes the run: messages still in flight become lost_in_flight records,
-  // then sends the schedule holds but the leg never attempted, and the
-  // leg's final crash vector against the sync leg's.
+  // Closes the run: messages still in flight become Fate::kLostInFlight
+  // records, then sends the schedule holds but the leg never attempted, and
+  // the leg's final crash vector against the sync leg's.
   void close(const std::vector<bool>& crashed);
   // p's state, halted flag and clock after the final round, against the
   // sync leg's (skipped when the sync leg crashed p).

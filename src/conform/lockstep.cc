@@ -167,17 +167,17 @@ void LockstepDriver::on_wire_message(ProcessId dest, ProcessId from,
     books_.report("schedule", r, os.str());
     return;
   }
-  if (pend->fate == kFateDestCrashed || pend->fate == kFateLostInFlight) {
+  if (pend->fate == Fate::kDestCrashed || pend->fate == Fate::kLostInFlight) {
     // The event simulator should have withheld this dispatch on its own
     // (crash gating / run horizon); reaching the adapter is a divergence.
     std::ostringstream os;
     os << "p" << from << "->p" << dest << " dispatched despite "
-       << (pend->fate == kFateDestCrashed ? "a crashed destination"
-                                          : "being lost in flight");
+       << (pend->fate == Fate::kDestCrashed ? "a crashed destination"
+                                            : "being lost in flight");
     books_.report("schedule", r, os.str());
     return;
   }
-  if (pend->fate == kFateDelivered) {
+  if (pend->fate == Fate::kDelivered) {
     if (delivered_seen_++ == options_.drop_delivery_index) return;  // TEST HOOK
     adapters_.at(dest)->buffer().push_back(Message{from, dest, wire.at("b")});
   }

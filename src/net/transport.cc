@@ -301,13 +301,13 @@ bool TransportDriver::ship_deliveries(Round r,
     ReplayBooks::Pending& pend = pendings[i];
     if (pend.resolved || pend.delivery_round != r) continue;
 
-    if (pend.fate == kFateDroppedByReceiver) {
+    if (pend.fate == Fate::kDroppedByReceiver) {
       // The adversary's receive omission: the hub (playing the network's
       // faulty-receiver half) eats the message before it crosses the wire.
-      books_.resolve(pend, r, kFateDroppedByReceiver, pend.payload);
+      books_.resolve(pend, r, Fate::kDroppedByReceiver, pend.payload);
       continue;
     }
-    if (pend.fate != kFateDelivered) continue;      // dest-crashed: end_round
+    if (pend.fate != Fate::kDelivered) continue;    // dest-crashed: end_round
     if (books_.crashed_by(pend.dest, r)) continue;  // flagged there too
 
     const int attempt = delivery_attempts_++;
@@ -371,7 +371,7 @@ void TransportDriver::resolve_bad(ProcessId dest, Round r, std::int64_t id,
   // A typed decode rejection is a model-level fault, not a harness error:
   // the observer records it as a frame-corrupted send and the differ will
   // hold it against the sync leg (which believed the message delivered).
-  books_.resolve(*pend, r, kFateFrameCorrupted, pend->payload);
+  books_.resolve(*pend, r, Fate::kFrameCorrupted, pend->payload);
   result_->rejected_frames.push_back(
       FrameReject{dest, pend->sender, pend->sent_round, r,
                   static_cast<WireError>(code)});
@@ -392,7 +392,7 @@ bool TransportDriver::read_inbox_statuses(Round r) {
     if (b.at("ok").is_array()) {
       for (const Value& id : b.at("ok").as_array()) {
         if (ReplayBooks::Pending* pend = books_.claim(r, p, id.int_or(-1))) {
-          books_.resolve(*pend, r, kFateDelivered, pend->payload);
+          books_.resolve(*pend, r, Fate::kDelivered, pend->payload);
         }
       }
     }

@@ -23,8 +23,8 @@
 // drop it, or delay it a round.  Because the mangled bytes ride inside an
 // intact kDeliver envelope, the stream stays framed while the receiver's
 // decode_frame_exact sees exactly the corrupted bytes — rejections come
-// back as typed WireErrors and are recorded as frame_corrupted sends, a
-// fault class the in-memory legs cannot express.
+// back as typed WireErrors and are recorded as Fate::kFrameCorrupted sends,
+// a fault class the in-memory legs cannot express.
 #pragma once
 
 #include <cstdint>

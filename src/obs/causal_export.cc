@@ -63,7 +63,7 @@ void export_causal_dot(std::ostream& os, const History& h) {
   // their *delivery*; jittered edges span multiple clusters).
   for (Round r = 1; r <= to; ++r) {
     for (const SendRecord& s : h.at(r).sends) {
-      if (!s.delivered || s.sender == s.dest) continue;
+      if (s.fate != Fate::kDelivered || s.sender == s.dest) continue;
       os << "  " << node(s.sender, s.sent_round) << " -> "
          << node(s.dest, s.delivery_round);
       if (s.delivery_round != s.sent_round) {
@@ -111,7 +111,7 @@ void export_chrome_flows(std::ostream& os, const History& h) {
   std::int64_t flow_id = 0;
   for (const RoundRecord& rec : h.rounds) {
     for (const SendRecord& s : rec.sends) {
-      if (s.delivered && s.sender != s.dest) {
+      if (s.fate == Fate::kDelivered && s.sender != s.dest) {
         const std::int64_t id = flow_id++;
         Value start =
             chrome_record("msg", "s", s.sent_round * us + us / 4, s.sender);
@@ -122,19 +122,11 @@ void export_chrome_flows(std::ostream& os, const History& h) {
         finish["id"] = Value(id);
         finish["bp"] = Value("e");
         out.push_back(std::move(finish));
-      } else if (!s.delivered) {
+      } else if (s.fate != Fate::kDelivered) {
         Value inst = chrome_record(
             "drop", "i", s.delivery_round * us + (3 * us) / 4, s.dest);
         inst["s"] = Value("t");
-        inst["args"]["cause"] =
-            Value(s.dropped_by_sender
-                      ? "send-omission"
-                      : (s.dropped_by_receiver
-                             ? "receive-omission"
-                             : (s.lost_in_flight
-                                    ? "in-flight-at-end"
-                                    : (s.frame_corrupted ? "frame-corrupt"
-                                                         : "dest-crashed"))));
+        inst["args"]["cause"] = Value(fate_cause(s.fate));
         inst["args"]["sender"] = Value(s.sender);
         inst["args"]["sent_round"] = Value(s.sent_round);
         out.push_back(std::move(inst));

@@ -216,12 +216,21 @@ void MetricsRegistry::observe_nanos(const std::string& name,
 }
 
 void record_history_metrics(const History& h, MetricsRegistry& m) {
+  // The counter each fate adds to, indexed by Fate; an unresolved send
+  // counts only as sent.
+  constexpr const char* kCounterByFate[kNumFates] = {
+      "msgs_delivered",
+      "msgs_dropped_send_omission",
+      "msgs_dropped_receive_omission",
+      "msgs_dropped_dest_crashed",
+      "msgs_in_flight_at_end",
+      "msgs_dropped_frame_corrupt",
+      nullptr};
   m.add("rounds", h.length());
   // Per-send counts stay in locals: one registry lookup per counter per
   // history, not per send.  A count that never fired adds no key.
-  std::int64_t sent = 0, delayed = 0, delivered = 0, send_omission = 0,
-               receive_omission = 0, dest_crashed = 0, in_flight = 0,
-               frame_corrupt = 0;
+  std::int64_t sent = 0, delayed = 0;
+  std::int64_t by_fate[kNumFates] = {};
   std::int64_t suspect_churn = 0;
   const std::vector<std::vector<ProcessId>>* prev_suspects = nullptr;
   const std::vector<bool>* prev_coterie = nullptr;
@@ -229,19 +238,7 @@ void record_history_metrics(const History& h, MetricsRegistry& m) {
     for (const SendRecord& s : rec.sends) {
       ++sent;
       if (s.delivery_round != s.sent_round) ++delayed;
-      if (s.delivered) {
-        ++delivered;
-      } else if (s.dropped_by_sender) {
-        ++send_omission;
-      } else if (s.dropped_by_receiver) {
-        ++receive_omission;
-      } else if (s.dest_crashed) {
-        ++dest_crashed;
-      } else if (s.lost_in_flight) {
-        ++in_flight;
-      } else if (s.frame_corrupted) {
-        ++frame_corrupt;
-      }
+      ++by_fate[static_cast<std::size_t>(s.fate)];
     }
     std::int64_t size = 0;
     for (bool in : rec.coterie) size += in ? 1 : 0;
@@ -266,12 +263,9 @@ void record_history_metrics(const History& h, MetricsRegistry& m) {
   };
   add_fired("msgs_sent", sent);
   add_fired("msgs_delayed", delayed);
-  add_fired("msgs_delivered", delivered);
-  add_fired("msgs_dropped_send_omission", send_omission);
-  add_fired("msgs_dropped_receive_omission", receive_omission);
-  add_fired("msgs_dropped_dest_crashed", dest_crashed);
-  add_fired("msgs_in_flight_at_end", in_flight);
-  add_fired("msgs_dropped_frame_corrupt", frame_corrupt);
+  for (std::size_t f = 0; f < kNumFates; ++f) {
+    if (kCounterByFate[f] != nullptr) add_fired(kCounterByFate[f], by_fate[f]);
+  }
   if (suspect_churn > 0 || prev_suspects != nullptr) {
     m.add("suspect_churn", suspect_churn);
   }

@@ -4,40 +4,17 @@
 
 namespace ftss {
 
-int fate_code(const SendRecord& s) {
-  if (s.delivered) return kFateDelivered;
-  if (s.dropped_by_sender) return kFateDroppedBySender;
-  if (s.dropped_by_receiver) return kFateDroppedByReceiver;
-  if (s.dest_crashed) return kFateDestCrashed;
-  if (s.lost_in_flight) return kFateLostInFlight;
-  if (s.frame_corrupted) return kFateFrameCorrupted;
-  return kFateUnresolved;
-}
-
-const char* fate_name(int code) {
-  switch (code) {
-    case kFateDelivered: return "delivered";
-    case kFateDroppedBySender: return "dropped-by-sender";
-    case kFateDroppedByReceiver: return "dropped-by-receiver";
-    case kFateDestCrashed: return "dest-crashed";
-    case kFateLostInFlight: return "lost-in-flight";
-    case kFateFrameCorrupted: return "frame-corrupt";
-    default: return "unresolved";
-  }
-}
-
 FateSchedule extract_fate_schedule(const History& h) {
   FateSchedule schedule;
   for (const RoundRecord& rec : h.rounds) {
     for (const SendRecord& s : rec.sends) {
-      const int code = fate_code(s);
-      if (code == kFateUnresolved) {
+      if (s.fate == Fate::kUnresolved) {
         schedule.ok = false;
         schedule.error = "history contains a send with no fate";
         return schedule;
       }
       schedule.fates[FateScheduleKey{s.sent_round, s.sender, s.dest}]
-          .fates.push_back(ResolvedFate{code, s.delivery_round});
+          .fates.push_back(ResolvedFate{s.fate, s.delivery_round});
     }
   }
   // Several same-round sends to one destination can only be replayed when
@@ -45,7 +22,7 @@ FateSchedule extract_fate_schedule(const History& h) {
   // pairing).
   for (const auto& [key, fq] : schedule.fates) {
     for (std::size_t i = 1; i < fq.fates.size(); ++i) {
-      if (!(fq.fates[i] == fq.fates[0])) {
+      if (fq.fates[i] != fq.fates[0]) {
         std::ostringstream os;
         os << "ambiguous schedule: p" << std::get<1>(key) << "->p"
            << std::get<2>(key) << " sent " << fq.fates.size()

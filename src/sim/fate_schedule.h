@@ -1,14 +1,14 @@
-// Canonical send-record fate codes, and fate-schedule extraction: resolving
-// a recorded history into per-(sent_round, sender, dest) queues of message
-// fates that a second execution leg can replay.
+// Fate-schedule extraction: resolving a recorded history into
+// per-(sent_round, sender, dest) queues of message fates that a second
+// execution leg can replay.
 //
 // Both differential legs — the event-simulator lock-step driver
 // (conform/lockstep.cc) and the socket transport leg (net/transport.cc) —
 // replay the sync simulator's run through the shared replay books
 // (check/replay_books.h), which read every message's fate (delivered /
 // dropped and by whom, plus the delivery round) off its audited history.
-// The extraction and the code<->name mapping live here, in sim/, so the
-// books and the history differ agree byte-for-byte on what a fate *is*.
+// The extraction lives here, in sim/, beside the Fate vocabulary
+// (sim/history.h) the books and the history differ share.
 #pragma once
 
 #include <map>
@@ -20,28 +20,11 @@
 
 namespace ftss {
 
-// Canonical fate codes, in the differ's sort order.  Appending here is safe;
-// reordering would silently change history fingerprints.
-enum : int {
-  kFateDelivered = 0,
-  kFateDroppedBySender = 1,
-  kFateDroppedByReceiver = 2,
-  kFateDestCrashed = 3,
-  kFateLostInFlight = 4,
-  kFateFrameCorrupted = 5,
-  kFateUnresolved = 6,  // no fate flag set at all (a reportable oddity)
-};
-
-int fate_code(const SendRecord& s);
-const char* fate_name(int code);
-
 struct ResolvedFate {
-  int code = kFateDelivered;
+  Fate fate = Fate::kDelivered;
   Round delivery_round = 0;
 
-  friend bool operator==(const ResolvedFate& a, const ResolvedFate& b) {
-    return a.code == b.code && a.delivery_round == b.delivery_round;
-  }
+  friend bool operator==(const ResolvedFate&, const ResolvedFate&) = default;
 };
 
 // Fates for one (sent_round, sender, dest) key, consumed FIFO.  Send order

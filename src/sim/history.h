@@ -6,6 +6,8 @@
 // exactly as the paper's definitions quantify over histories.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -13,33 +15,61 @@
 
 namespace ftss {
 
-// One message send attempt and its fate.
-struct SendRecord {
-  ProcessId sender = -1;
-  ProcessId dest = -1;
-  Value payload;
-  bool delivered = false;
-  // Round at which the send was attempted (the sender's begin_round).
-  Round sent_round = 0;
-  // Round at which the message was (or would have been) delivered; equals
-  // the sending round unless the simulator's delivery jitter delayed it.
-  Round delivery_round = 0;
-  // Why it was not delivered (at most one cause is recorded).
-  bool dropped_by_sender = false;    // send-omission fault of `sender`
-  bool dropped_by_receiver = false;  // receive-omission fault of `dest`
-  bool dest_crashed = false;
+// What happened to one send: exactly one outcome, as the §2.1 observer
+// records it.  The enumerators are in the history differ's sort order
+// (conform/diff.cc), so reordering them moves every history fingerprint.
+enum class Fate : std::uint8_t {
+  kDelivered,
+  kDroppedBySender,    // send-omission fault of the sender
+  kDroppedByReceiver,  // receive-omission fault of the destination
+  kDestCrashed,
   // Jitter-delayed past the final executed round: the message was still in
   // flight when run_rounds returned, so the observer closes its books with
   // this record (delivery_round holds the scheduled round).  The message is
   // NOT consumed — extending the execution with another run_rounds call
   // retracts these records and resolves the messages normally.
-  bool lost_in_flight = false;
+  kLostInFlight,
   // The encoded frame failed to decode at the receiver (truncated,
   // bit-flipped, or otherwise mangled in transit) and was rejected with a
   // typed wire error.  Only the transport leg (src/net/) can produce this
-  // cause: the in-memory legs never serialize, which is exactly why this
+  // fate: the in-memory legs never serialize, which is exactly why this
   // fault class was invisible before the wire format existed.
-  bool frame_corrupted = false;
+  kFrameCorrupted,
+  kUnresolved,  // no writer resolved the send (a reportable oddity)
+};
+inline constexpr std::size_t kNumFates =
+    static_cast<std::size_t>(Fate::kUnresolved) + 1;
+
+// The fate's stable name in differ details and history fingerprints.
+constexpr const char* fate_name(Fate f) {
+  constexpr const char* kNames[kNumFates] = {
+      "delivered",    "dropped-by-sender", "dropped-by-receiver",
+      "dest-crashed", "lost-in-flight",    "frame-corrupt",
+      "unresolved"};
+  return kNames[static_cast<std::size_t>(f)];
+}
+
+// The drop cause traces, fault manifestations and Chrome flows carry; a
+// delivery has none.
+constexpr const char* fate_cause(Fate f) {
+  constexpr const char* kCauses[kNumFates] = {
+      "",             "send-omission",    "receive-omission",
+      "dest-crashed", "in-flight-at-end", "frame-corrupt",
+      "unresolved"};
+  return kCauses[static_cast<std::size_t>(f)];
+}
+
+// One message send attempt and its fate.
+struct SendRecord {
+  ProcessId sender = -1;
+  ProcessId dest = -1;
+  Value payload;
+  Fate fate = Fate::kUnresolved;
+  // Round at which the send was attempted (the sender's begin_round).
+  Round sent_round = 0;
+  // Round at which the message was (or would have been) delivered; equals
+  // the sending round unless the simulator's delivery jitter delayed it.
+  Round delivery_round = 0;
 };
 
 // The observer's record of one actual round r (1-based).

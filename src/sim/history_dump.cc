@@ -6,6 +6,20 @@
 
 namespace ftss {
 
+namespace {
+
+// How a send's fate reads in the dump, indexed by Fate.
+constexpr const char* kDumpTextByFate[kNumFates] = {
+    "delivered",
+    "DROPPED (send omission)",
+    "DROPPED (receive omission)",
+    "LOST (dest crashed)",
+    "IN FLIGHT (undelivered at end of run)",
+    "REJECTED (frame corrupt on the wire)",
+    ""};
+
+}  // namespace
+
 void dump_history(std::ostream& os, const History& h, DumpOptions options) {
   const Round to = options.to_round > 0
                        ? std::min(options.to_round, h.length())
@@ -61,20 +75,8 @@ void dump_history(std::ostream& os, const History& h, DumpOptions options) {
     }
     if (options.show_sends) {
       for (const auto& s : rec.sends) {
-        os << "        " << s.sender << " -> " << s.dest << " ";
-        if (s.delivered) {
-          os << "delivered";
-        } else if (s.dropped_by_sender) {
-          os << "DROPPED (send omission)";
-        } else if (s.dropped_by_receiver) {
-          os << "DROPPED (receive omission)";
-        } else if (s.dest_crashed) {
-          os << "LOST (dest crashed)";
-        } else if (s.lost_in_flight) {
-          os << "IN FLIGHT (undelivered at end of run)";
-        } else if (s.frame_corrupted) {
-          os << "REJECTED (frame corrupt on the wire)";
-        }
+        os << "        " << s.sender << " -> " << s.dest << " "
+           << kDumpTextByFate[static_cast<std::size_t>(s.fate)];
         // Jitter-delayed messages resolve in a later round than they were
         // sent; show the send round and delay so they are distinguishable
         // from same-round deliveries.

@@ -6,7 +6,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "sim/fate_schedule.h"
 #include "util/worker_pool.h"
 
 namespace ftss {
@@ -440,16 +439,15 @@ void SyncSimulator::run_rounds_impl(int k) {
       std::size_t base = 0;
       std::uint32_t slots = 0;
       const auto bucket = [&](Message& m, Round sent_round,
-                              const ProcessSet& influence, int fate) {
+                              const ProcessSet& influence, Fate fate) {
         std::uint32_t slot = std::numeric_limits<std::uint32_t>::max();
         if constexpr (kRecordSends) {
           slot = slots++;
-        } else if (fate != kFateDelivered) {
+        } else if (fate != Fate::kDelivered) {
           return;
         }
         engine_lanes_[dest_lane_[m.dest]].deliveries.push_back(
-            EngineLane::Delivery{&m, &influence, sent_round, slot,
-                                 static_cast<std::uint8_t>(fate)});
+            EngineLane::Delivery{&m, &influence, sent_round, slot, fate});
       };
       // A message's fate at its delivery round r — crash, receive omission
       // or delivery — for drained in-flight messages and zero-delay sends
@@ -457,21 +455,19 @@ void SyncSimulator::run_rounds_impl(int k) {
       const auto decide = [&](Message& m, Round sent_round,
                               const ProcessSet& influence,
                               std::int64_t flow_id) {
-        int fate = kFateDelivered;
-        const char* cause = "";
+        Fate fate = Fate::kDelivered;
         if (!rec.alive[m.dest]) {
-          fate = kFateDestCrashed;
-          cause = "dest-crashed";
+          fate = Fate::kDestCrashed;
         } else if (has_recv_rules_[m.dest] &&
                    receive_dropped(m.sender, m.dest, r)) {
-          fate = kFateDroppedByReceiver;
-          cause = "receive-omission";
-          mark_faulty(m.dest, r, cause);
+          fate = Fate::kDroppedByReceiver;
+          mark_faulty(m.dest, r, fate_cause(fate));
         }
         if constexpr (kTraced) {
-          trace_message(fate == kFateDelivered ? TraceEventKind::kDeliver
-                                               : TraceEventKind::kDrop,
-                        r, m.sender, m.dest, sent_round, cause, flow_id);
+          trace_message(fate == Fate::kDelivered ? TraceEventKind::kDeliver
+                                                 : TraceEventKind::kDrop,
+                        r, m.sender, m.dest, sent_round, fate_cause(fate),
+                        flow_id);
         }
         bucket(m, sent_round, influence, fate);
       };
@@ -492,17 +488,9 @@ void SyncSimulator::run_rounds_impl(int k) {
               sr.sent_round = d.sent_round;
               sr.delivery_round = r;
               if (config_.record_states) sr.payload = m.payload;
-              if (d.fate == kFateDroppedBySender) {
-                sr.dropped_by_sender = true;
-              } else if (d.fate == kFateDestCrashed) {
-                sr.dest_crashed = true;
-              } else if (d.fate == kFateDroppedByReceiver) {
-                sr.dropped_by_receiver = true;
-              } else {
-                sr.delivered = true;
-              }
+              sr.fate = d.fate;
             }
-            if (d.fate == kFateDelivered) {
+            if (d.fate == Fate::kDelivered) {
               causality_.deliver_snapshot_lane(*d.influence, m.dest,
                                                el.causality);
               inbox_[m.dest].push_back(std::move(m));
@@ -567,12 +555,12 @@ void SyncSimulator::run_rounds_impl(int k) {
             const ProcessSet& influence = causality_.send_snapshot(m.sender);
             if (has_send_rules_[m.sender] &&
                 send_dropped(m.sender, m.dest, r)) {
-              mark_faulty(m.sender, r, "send-omission");
+              mark_faulty(m.sender, r, fate_cause(Fate::kDroppedBySender));
               if constexpr (kTraced) {
                 trace_message(TraceEventKind::kDrop, r, m.sender, m.dest, r,
-                              "send-omission", fid);
+                              fate_cause(Fate::kDroppedBySender), fid);
               }
-              bucket(m, r, influence, kFateDroppedBySender);
+              bucket(m, r, influence, Fate::kDroppedBySender);
               continue;
             }
             // Remote messages may be delayed; self-deliveries never are.
@@ -700,7 +688,7 @@ void SyncSimulator::run_rounds_impl(int k) {
   // Jittered messages still in flight when the run stops used to vanish —
   // no SendRecord, no trace event — so history/trace send accounting
   // disagreed with what was actually sent.  Flush them into the final
-  // round's record as lost_in_flight drops (see SendRecord; retracted above
+  // round's record as Fate::kLostInFlight drops (see Fate; retracted above
   // if the execution is extended).  The trace drop is not retractable: an
   // extended traced run re-resolves the same flow id, which is the tape's
   // honest record of the observer closing and reopening the run.  Slots are
@@ -720,14 +708,14 @@ void SyncSimulator::run_rounds_impl(int k) {
           sr.sent_round = flight.sent_round;
           sr.delivery_round = delivery_round;
           if (config_.record_states) sr.payload = flight.message.payload;
-          sr.lost_in_flight = true;
+          sr.fate = Fate::kLostInFlight;
           sends.push_back(std::move(sr));
           ++flushed_in_flight_;
         }
         if constexpr (kTraced) {
           trace_message(TraceEventKind::kDrop, round_, flight.message.sender,
                         flight.message.dest, flight.sent_round,
-                        "in-flight-at-end", flight.flow_id);
+                        fate_cause(Fate::kLostInFlight), flight.flow_id);
         }
       }
     }

@@ -169,7 +169,7 @@ class SyncSimulator {
   // in-flight enqueue and SendRecord slot index is therefore independent of
   // the lane count (C2) — and the lanes then fill their pre-assigned record
   // slots, apply lane-local causality updates and push inbox deliveries for
-  // the destinations they own (C3).  Fate codes are fate_schedule.h's.
+  // the destinations they own (C3).
   struct EngineLane {
     // Slow-path send collection: messages from this lane's contiguous
     // sender range, in sender-then-emission order.
@@ -185,7 +185,7 @@ class SyncSimulator {
       const ProcessSet* influence;
       Round sent_round;
       std::uint32_t slot;
-      std::uint8_t fate;
+      Fate fate;
     };
     std::vector<Delivery> deliveries;
     // Fast-path scratch: per-lane collection log and a private scratch
@@ -237,7 +237,7 @@ class SyncSimulator {
   // draws and nothing recorded either way.
   bool any_rules_ = false;
   ProcessSet correct_;  // non-manifested processes, rebuilt each round
-  // Synthetic lost_in_flight records appended to the final round's sends
+  // Synthetic Fate::kLostInFlight records appended to the final round's sends
   // when run_rounds returned with messages still in flight; retracted (and
   // the messages resolved normally) if the execution is extended.
   int flushed_in_flight_ = 0;

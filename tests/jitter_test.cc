@@ -61,7 +61,7 @@ TEST(Jitter, DelayedMessagesArriveWithinBound) {
   int delayed = 0;
   for (const auto& rec : sim.history().rounds) {
     for (const auto& s : rec.sends) {
-      if (!s.delivered) continue;
+      if (s.fate != Fate::kDelivered) continue;
       // delivery_round is the record's round; the send round is recoverable
       // from the payload's clock for this protocol — just bound the count.
       if (s.sender != s.dest) ++delayed;
@@ -99,10 +99,11 @@ TEST(Jitter, OmissionWindowsUseTheRightRounds) {
   for (const auto& rec : sim.history().rounds) {
     for (const auto& s : rec.sends) {
       if (s.sender != 0 || s.dest != 1) continue;
-      if (s.dropped_by_receiver) {
+      if (s.fate == Fate::kDroppedByReceiver) {
         EXPECT_GE(s.delivery_round, 6);
         EXPECT_LE(s.delivery_round, 9);
-      } else if (s.delivered && rec.round >= 6 && rec.round <= 9) {
+      } else if (s.fate == Fate::kDelivered && rec.round >= 6 &&
+                 rec.round <= 9) {
         ADD_FAILURE() << "message delivered to 1 inside its deaf window at "
                       << rec.round;
       }
@@ -117,7 +118,7 @@ TEST(Jitter, SentRoundIsRecordedAndBoundedByJitter) {
   int lagged = 0;
   for (const auto& rec : sim.history().rounds) {
     for (const auto& s : rec.sends) {
-      if (s.lost_in_flight) {
+      if (s.fate == Fate::kLostInFlight) {
         // End-of-run flush: scheduled delivery lies past the last round.
         ASSERT_GT(s.delivery_round, rec.round);
         continue;
@@ -156,7 +157,7 @@ TEST(Jitter, ReceiveOmissionCrossesWindowBoundariesByDeliveryRound) {
     for (const auto& s : rec.sends) {
       if (s.dest != 2 || s.sender == 2) continue;
       const bool in_window = s.delivery_round >= 6 && s.delivery_round <= 9;
-      EXPECT_EQ(s.dropped_by_receiver, in_window)
+      EXPECT_EQ(s.fate == Fate::kDroppedByReceiver, in_window)
           << "sent " << s.sent_round << " delivered " << s.delivery_round;
       if (in_window && s.sent_round < 6) ++dropped_late_arrival;
       if (!in_window && s.sent_round >= 6 && s.sent_round <= 9) {

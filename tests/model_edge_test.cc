@@ -103,7 +103,7 @@ TEST(HistoryEdge, DelayedDeliveriesRecordedAtDeliveryRound) {
   std::int64_t still_in_flight = 0;
   for (const auto& rec : sim.history().rounds) {
     for (const auto& s : rec.sends) {
-      if (s.lost_in_flight) {
+      if (s.fate == Fate::kLostInFlight) {
         // Flushed into the final record; its delivery was scheduled past the
         // end of the run.
         EXPECT_EQ(rec.round, 10);

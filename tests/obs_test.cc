@@ -65,8 +65,10 @@ TEST(JsonlTrace, RoundTripsAgainstHistory) {
     const auto& rec = h.rounds[i];
     for (const auto& s : rec.sends) {
       ++sent;
-      if (s.delivered) ++delivered;
-      if (s.dropped_by_sender || s.dropped_by_receiver || s.dest_crashed) {
+      if (s.fate == Fate::kDelivered) ++delivered;
+      if (s.fate == Fate::kDroppedBySender ||
+          s.fate == Fate::kDroppedByReceiver ||
+          s.fate == Fate::kDestCrashed) {
         ++dropped;
       }
     }
@@ -138,7 +140,7 @@ TEST(JsonlTrace, JitterDelaysAppearInTraceAndMetrics) {
     for (const auto& s : rec.sends) {
       ++total;
       if (s.delivery_round != s.sent_round) ++delayed;
-      if (s.lost_in_flight) ++in_flight;
+      if (s.fate == Fate::kLostInFlight) ++in_flight;
     }
   }
   ASSERT_GT(delayed, 0) << "seed produced no jittered messages";
@@ -173,7 +175,7 @@ TEST(Metrics, HistoryCountersMatchHistory) {
   for (const auto& rec : h.rounds) {
     for (const auto& s : rec.sends) {
       ++sent;
-      if (s.delivered) ++delivered;
+      if (s.fate == Fate::kDelivered) ++delivered;
     }
   }
   MetricsRegistry reg;

@@ -63,8 +63,8 @@ class AuditHistory : public ::testing::Test {
   // A send the history records as plainly delivered, reset to no fate.
   SendRecord& undelivered(Round round, ProcessId sender, ProcessId dest) {
     SendRecord& s = send(round, sender, dest);
-    EXPECT_TRUE(s.delivered);
-    s.delivered = false;
+    EXPECT_EQ(s.fate, Fate::kDelivered);
+    s.fate = Fate::kUnresolved;
     return s;
   }
 
@@ -119,7 +119,7 @@ TEST_F(AuditHistory, SendAfterCrash) {
 }
 
 TEST_F(AuditHistory, MessageEatenByNonCrash) {
-  undelivered(1, 0, 2).dest_crashed = true;
+  undelivered(1, 0, 2).fate = Fate::kDestCrashed;
   EXPECT_EQ(audit(), (Expected{{"audit-crash",
                                 "message eaten by non-crash: "
                                 "p0->p2 sent 1 delivery 1"}}));
@@ -127,37 +127,36 @@ TEST_F(AuditHistory, MessageEatenByNonCrash) {
 
 TEST_F(AuditHistory, DeliveredToCrashedDest) {
   SendRecord& s = send(5, 0, 1);
-  ASSERT_TRUE(s.dest_crashed);
-  s.dest_crashed = false;
-  s.delivered = true;
+  ASSERT_EQ(s.fate, Fate::kDestCrashed);
+  s.fate = Fate::kDelivered;
   EXPECT_EQ(audit(), (Expected{{"audit-crash",
                                 "delivered to crashed dest: "
                                 "p0->p1 sent 5 delivery 5"}}));
 }
 
 TEST_F(AuditHistory, UnlicensedSendDrop) {
-  undelivered(1, 0, 2).dropped_by_sender = true;
+  undelivered(1, 0, 2).fate = Fate::kDroppedBySender;
   EXPECT_EQ(audit(), (Expected{{"audit-omission",
                                 "unlicensed send drop: "
                                 "p0->p2 sent 1 delivery 1"}}));
 }
 
 TEST_F(AuditHistory, UnlicensedReceiveDrop) {
-  undelivered(1, 0, 2).dropped_by_receiver = true;
+  undelivered(1, 0, 2).fate = Fate::kDroppedByReceiver;
   EXPECT_EQ(audit(), (Expected{{"audit-omission",
                                 "unlicensed receive drop: "
                                 "p0->p2 sent 1 delivery 1"}}));
 }
 
 TEST_F(AuditHistory, InFlightFlushInsideTheRun) {
-  undelivered(1, 0, 2).lost_in_flight = true;
+  undelivered(1, 0, 2).fate = Fate::kLostInFlight;
   EXPECT_EQ(audit(), (Expected{{"audit-omission",
                                 "in-flight flush inside the run: "
                                 "p0->p2 sent 1 delivery 1"}}));
 }
 
 TEST_F(AuditHistory, FrameCorruptionInMemory) {
-  undelivered(1, 0, 2).frame_corrupted = true;
+  undelivered(1, 0, 2).fate = Fate::kFrameCorrupted;
   EXPECT_EQ(audit(), (Expected{{"audit-omission",
                                 "frame corruption in an in-memory history: "
                                 "p0->p2 sent 1 delivery 1"}}));
@@ -165,9 +164,8 @@ TEST_F(AuditHistory, FrameCorruptionInMemory) {
 
 TEST_F(AuditHistory, MustDropSendDelivered) {
   SendRecord& s = send(2, 2, 0);
-  ASSERT_TRUE(s.dropped_by_sender);
-  s.dropped_by_sender = false;
-  s.delivered = true;
+  ASSERT_EQ(s.fate, Fate::kDroppedBySender);
+  s.fate = Fate::kDelivered;
   EXPECT_EQ(audit(), (Expected{{"audit-omission",
                                 "must-drop send delivered: "
                                 "p2->p0 sent 2 delivery 2"}}));
@@ -175,9 +173,8 @@ TEST_F(AuditHistory, MustDropSendDelivered) {
 
 TEST_F(AuditHistory, MustDropReceiveDelivered) {
   SendRecord& s = send(2, 0, 3);
-  ASSERT_TRUE(s.dropped_by_receiver);
-  s.dropped_by_receiver = false;
-  s.delivered = true;
+  ASSERT_EQ(s.fate, Fate::kDroppedByReceiver);
+  s.fate = Fate::kDelivered;
   EXPECT_EQ(audit(), (Expected{{"audit-omission",
                                 "must-drop receive delivered: "
                                 "p0->p3 sent 2 delivery 2"}}));

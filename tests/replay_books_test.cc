@@ -58,13 +58,14 @@ History replay_perfectly(ReplayBooks& books) {
     for (const SendRecord* s : by_sent_round[r]) {
       const std::optional<std::int64_t> id =
           books.send(r, s->sender, s->dest, s->payload);
-      if (id && (s->delivered || s->dropped_by_receiver)) {
+      if (id && (s->fate == Fate::kDelivered ||
+                 s->fate == Fate::kDroppedByReceiver)) {
         due[s->delivery_round].emplace_back(*id, s);
       }
     }
     for (const auto& [id, s] : due[r]) {
       if (ReplayBooks::Pending* pend = books.claim(r, s->dest, id)) {
-        books.resolve(*pend, r, fate_code(*s), s->payload);
+        books.resolve(*pend, r, s->fate, s->payload);
       }
     }
     books.end_round(r, crashed);
@@ -80,7 +81,7 @@ History replay_perfectly(ReplayBooks& books) {
 }
 
 TEST(ReplayBooks, PerfectLegRebuildsTheSyncHistory) {
-  std::set<int> fates;
+  std::set<Fate> fates;
   bool suspects = false;
   for (const TrialPlan& plan :
        {testing::clean_plan(), testing::faulty_plan(), testing::jittery_plan(),
@@ -90,7 +91,7 @@ TEST(ReplayBooks, PerfectLegRebuildsTheSyncHistory) {
     ASSERT_TRUE(books.run_sync_leg(&error)) << error;
     const History& sync = books.sync_history();
     for (const RoundRecord& rec : sync.rounds) {
-      for (const SendRecord& s : rec.sends) fates.insert(fate_code(s));
+      for (const SendRecord& s : rec.sends) fates.insert(s.fate);
     }
     suspects |= !sync.rounds.front().suspects.empty();
 
@@ -102,9 +103,9 @@ TEST(ReplayBooks, PerfectLegRebuildsTheSyncHistory) {
         << plan.describe();
   }
   // The family covers every fate the sync leg resolves, and suspect sets.
-  EXPECT_EQ(fates, (std::set<int>{kFateDelivered, kFateDroppedBySender,
-                                  kFateDroppedByReceiver, kFateDestCrashed,
-                                  kFateLostInFlight}));
+  EXPECT_EQ(fates, (std::set<Fate>{Fate::kDelivered, Fate::kDroppedBySender,
+                                   Fate::kDroppedByReceiver, Fate::kDestCrashed,
+                                   Fate::kLostInFlight}));
   EXPECT_TRUE(suspects);
 }
 
@@ -127,7 +128,7 @@ TEST(ReplayBooks, ClaimContractReportsEachMisdeliveryOnce) {
 
   ReplayBooks::Pending* pend = books.claim(1, 1, *to_p1);
   ASSERT_NE(pend, nullptr);
-  books.resolve(*pend, 1, kFateDelivered, Value(1));
+  books.resolve(*pend, 1, Fate::kDelivered, Value(1));
   EXPECT_EQ(books.claim(1, 1, *to_p1), nullptr);  // a second claim
   EXPECT_EQ(books.claim(1, 3, *to_p2), nullptr);  // the wrong destination
   EXPECT_EQ(books.claim(1, 1, 99), nullptr);      // an id never handed out
@@ -144,7 +145,7 @@ TEST(ReplayBooks, ClaimContractReportsEachMisdeliveryOnce) {
   const History h = books.finish();
   ASSERT_EQ(h.length(), 1);
   ASSERT_EQ(h.at(1).sends.size(), 1u) << "the misdelivery leaves no record";
-  EXPECT_TRUE(h.at(1).sends.front().delivered);
+  EXPECT_EQ(h.at(1).sends.front().fate, Fate::kDelivered);
   EXPECT_EQ(h.at(1).sends.front().dest, 1);
 }
 

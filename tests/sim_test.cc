@@ -130,7 +130,7 @@ TEST(SyncSimulator, WindowedOmissionRule) {
   // Round 1 and 3 delivered; round 2 dropped for the remote destination.
   auto delivered_to_1 = [&](Round r) {
     for (const auto& s : h.at(r).sends) {
-      if (s.sender == 0 && s.dest == 1) return s.delivered;
+      if (s.sender == 0 && s.dest == 1) return s.fate == Fate::kDelivered;
     }
     return false;
   };
@@ -146,7 +146,7 @@ TEST(SyncSimulator, HideUntilRevealsAtGivenRound) {
   const auto& h = sim.history();
   auto from0 = [&](Round r) {
     for (const auto& s : h.at(r).sends) {
-      if (s.sender == 0 && s.dest == 1) return s.delivered;
+      if (s.sender == 0 && s.dest == 1) return s.fate == Fate::kDelivered;
     }
     return false;
   };
@@ -190,7 +190,9 @@ TEST(SyncSimulator, DeterministicUnderSeed) {
     sim.run_rounds(20);
     std::vector<bool> delivered;
     for (const auto& rr : sim.history().rounds) {
-      for (const auto& s : rr.sends) delivered.push_back(s.delivered);
+      for (const auto& s : rr.sends) {
+        delivered.push_back(s.fate == Fate::kDelivered);
+      }
     }
     return delivered;
   };
@@ -208,7 +210,7 @@ TEST(SyncSimulator, ProbabilisticOmissionDropsSomeNotAll) {
     for (const auto& s : rr.sends) {
       if (s.sender == 0 && s.dest == 1) {
         ++total;
-        delivered += s.delivered ? 1 : 0;
+        delivered += s.fate == Fate::kDelivered ? 1 : 0;
       }
     }
   }
@@ -288,9 +290,8 @@ TEST(SyncSimulator, InFlightMessagesAreFlushedIntoTheFinalRecord) {
   std::int64_t resolved = 0, in_flight = 0;
   for (const auto& rec : h.rounds) {
     for (const auto& s : rec.sends) {
-      if (s.lost_in_flight) {
+      if (s.fate == Fate::kLostInFlight) {
         EXPECT_EQ(rec.round, 8);  // flush lands only in the final record
-        EXPECT_FALSE(s.delivered);
         EXPECT_GT(s.delivery_round, 8);  // scheduled past the end of the run
         EXPECT_LE(s.delivery_round, s.sent_round + 4);
         ++in_flight;
@@ -326,10 +327,9 @@ TEST(SyncSimulator, InFlightFlushIsRetractedWhenTheRunIsExtended) {
       EXPECT_EQ(x.sender, y.sender);
       EXPECT_EQ(x.dest, y.dest);
       EXPECT_EQ(x.payload, y.payload);
-      EXPECT_EQ(x.delivered, y.delivered);
+      EXPECT_EQ(x.fate, y.fate);
       EXPECT_EQ(x.sent_round, y.sent_round);
       EXPECT_EQ(x.delivery_round, y.delivery_round);
-      EXPECT_EQ(x.lost_in_flight, y.lost_in_flight);
     }
     EXPECT_EQ(a.at(r).clock, b.at(r).clock) << "round " << r;
   }

@@ -246,10 +246,12 @@ TEST(TransportCorruption, BitFlipIsRejectedWithHashMismatch) {
     EXPECT_NE(r.rejected_frames.front().error, wire::WireError::kOk);
 
     // The receiver reports the rejection, the hub records it as a
-    // frame_corrupted send — a model-level fault, not a crash.
+    // Fate::kFrameCorrupted send — a model-level fault, not a crash.
     int corrupted = 0;
     for (const RoundRecord& rec : r.transport_history.rounds) {
-      for (const SendRecord& s : rec.sends) corrupted += s.frame_corrupted;
+      for (const SendRecord& s : rec.sends) {
+        corrupted += s.fate == Fate::kFrameCorrupted;
+      }
     }
     EXPECT_EQ(corrupted, 1);
 
