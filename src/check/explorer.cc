@@ -10,6 +10,7 @@
 #include "check/shrink.h"
 #include "check/trial_build.h"
 #include "obs/flight.h"
+#include "util/fnv.h"
 #include "util/parallel.h"
 
 namespace ftss {
@@ -60,22 +61,6 @@ void fold_coverage(const TrialPlan& plan, Coverage& cov) {
     }
   }
   if (plan.faults.empty()) ++cov.fault_free_trials;
-}
-
-std::uint64_t fnv(std::uint64_t h, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (x >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t fnv_str(std::uint64_t h, const std::string& s) {
-  for (unsigned char ch : s) {
-    h ^= ch;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 }  // namespace
@@ -165,18 +150,18 @@ ExplorerReport explore(const ExplorerConfig& config) {
       },
       config.jobs);
 
-  std::uint64_t fp = 0xcbf29ce484222325ULL;
+  std::uint64_t fp = kFnv1aBasis;
   std::vector<std::pair<double, NearMiss>> misses;
   for (int i = 0; i < static_cast<int>(results.size()); ++i) {
     const TrialResult& r = results[i];
     fold_coverage(r.plan, report.coverage);
     report.metrics.merge(r.metrics);
 
-    fp = fnv(fp, r.plan.trial_seed);
-    fp = fnv(fp, r.evaluation.ok() ? 1 : 2);
-    for (const auto& v : r.evaluation.violations) fp = fnv_str(fp, v.oracle);
+    fp = fnv1a_u64(fp, r.plan.trial_seed);
+    fp = fnv1a_u64(fp, r.evaluation.ok() ? 1 : 2);
+    for (const auto& v : r.evaluation.violations) fp = fnv1a_bytes(fp, v.oracle);
     if (r.evaluation.stabilization) {
-      fp = fnv(fp, static_cast<std::uint64_t>(*r.evaluation.stabilization) + 3);
+      fp = fnv1a_u64(fp, static_cast<std::uint64_t>(*r.evaluation.stabilization) + 3);
     }
 
     if (!r.evaluation.ok()) {

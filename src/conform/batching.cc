@@ -3,19 +3,12 @@
 #include <sstream>
 
 #include "svc/service.h"
+#include "util/fnv.h"
 #include "util/parallel.h"
 
 namespace ftss {
 
 namespace {
-
-std::uint64_t fnv(std::uint64_t h, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (x >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 // The shared workload: open loop + bounded ops + drain, so both legs submit
 // the identical command sequence and decide all of it.
@@ -119,15 +112,15 @@ BatchingOracleReport svc_batching_sweep(const BatchingOracleConfig& config) {
           },
           config.jobs);
 
-  std::uint64_t fp = 0xcbf29ce484222325ULL;
+  std::uint64_t fp = kFnv1aBasis;
   for (const BatchingCellResult& cell : results) {
     ++report.cells;
-    fp = fnv(fp, cell.workload_seed);
-    fp = fnv(fp, static_cast<std::uint64_t>(cell.batch));
-    fp = fnv(fp, cell.store_fp_batch1);
-    fp = fnv(fp, cell.store_fp_batchk);
-    fp = fnv(fp, static_cast<std::uint64_t>(cell.commands));
-    fp = fnv(fp, cell.ok() ? 1 : 0);
+    fp = fnv1a_u64(fp, cell.workload_seed);
+    fp = fnv1a_u64(fp, static_cast<std::uint64_t>(cell.batch));
+    fp = fnv1a_u64(fp, cell.store_fp_batch1);
+    fp = fnv1a_u64(fp, cell.store_fp_batchk);
+    fp = fnv1a_u64(fp, static_cast<std::uint64_t>(cell.commands));
+    fp = fnv1a_u64(fp, cell.ok() ? 1 : 0);
     if (!cell.ok()) {
       ++report.mismatches;
       if (report.failures.size() < 5) report.failures.push_back(cell);

@@ -8,27 +8,12 @@
 
 #include "check/shrink.h"
 #include "obs/flight.h"
+#include "util/fnv.h"
 #include "util/parallel.h"
 
 namespace ftss {
 
 namespace {
-
-std::uint64_t fnv(std::uint64_t h, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (x >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t fnv_str(std::uint64_t h, const std::string& s) {
-  for (unsigned char ch : s) {
-    h ^= ch;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 std::vector<ProcessId> rotation(int n) {
   std::vector<ProcessId> perm(n);
@@ -129,29 +114,29 @@ ConformReport conform_sweep(const ConformConfig& config) {
       },
       config.jobs);
 
-  std::uint64_t fp = 0xcbf29ce484222325ULL;
+  std::uint64_t fp = kFnv1aBasis;
   for (int i = 0; i < static_cast<int>(outcomes.size()); ++i) {
     const TrialOutcome& outcome = outcomes[i];
     ++report.systems[system_name(outcome.plan)];
-    fp = fnv(fp, outcome.plan.trial_seed);
+    fp = fnv1a_u64(fp, outcome.plan.trial_seed);
 
     const OracleResult* first_failure = nullptr;
     for (const OracleResult& r : outcome.results) {
       OracleTally& tally = report.oracles[r.oracle];
-      fp = fnv_str(fp, r.oracle);
+      fp = fnv1a_bytes(fp, r.oracle);
       if (!r.applicable) {
         ++tally.skipped;
-        fp = fnv(fp, 1);
+        fp = fnv1a_u64(fp, 1);
         continue;
       }
       ++tally.ran;
       if (r.ok()) {
-        fp = fnv(fp, 2);
+        fp = fnv1a_u64(fp, 2);
       } else {
         ++tally.failed;
-        fp = fnv(fp, 3);
+        fp = fnv1a_u64(fp, 3);
         for (const std::string& kind : divergence_kinds(r.divergences)) {
-          fp = fnv_str(fp, kind);
+          fp = fnv1a_bytes(fp, kind);
         }
         if (first_failure == nullptr) first_failure = &r;
       }

@@ -21,6 +21,7 @@
 #include <iterator>
 #include <vector>
 
+#include "util/fnv.h"
 #include "util/process_set_simd.h"
 
 namespace ftss {
@@ -177,16 +178,9 @@ class ProcessSet {
   // Stable FNV-1a content hash (universe size + member words).  Tail bits
   // beyond n are always zero, so equal sets hash equally.
   std::uint64_t hash() const {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    auto mix = [&h](std::uint64_t x) {
-      for (int b = 0; b < 8; ++b) {
-        h ^= (x >> (8 * b)) & 0xff;
-        h *= 0x100000001b3ULL;
-      }
-    };
-    mix(static_cast<std::uint64_t>(n_));
+    std::uint64_t h = fnv1a_u64(kFnv1aBasis, static_cast<std::uint64_t>(n_));
     const std::uint64_t* w = words();
-    for (int i = 0; i < nwords_; ++i) mix(w[i]);
+    for (int i = 0; i < nwords_; ++i) h = fnv1a_u64(h, w[i]);
     return h;
   }
 

@@ -6,6 +6,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/fnv.h"
+
 namespace ftss {
 
 namespace {
@@ -361,13 +363,6 @@ std::optional<Value> Value::parse(std::string_view text) {
 }
 
 namespace {
-void hash_bytes(std::uint64_t& h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-}
 void hash_value(std::uint64_t& h, const Value& v) {
   int rank = v.is_null()   ? 0
              : v.is_bool() ? 1
@@ -375,20 +370,20 @@ void hash_value(std::uint64_t& h, const Value& v) {
              : v.is_string() ? 3
              : v.is_array()  ? 4
                              : 5;
-  hash_bytes(h, &rank, sizeof(rank));
+  h = fnv1a_bytes(h, &rank, sizeof(rank));
   if (v.is_bool()) {
     bool b = v.as_bool();
-    hash_bytes(h, &b, sizeof(b));
+    h = fnv1a_bytes(h, &b, sizeof(b));
   } else if (v.is_int()) {
     std::int64_t i = v.as_int();
-    hash_bytes(h, &i, sizeof(i));
+    h = fnv1a_bytes(h, &i, sizeof(i));
   } else if (v.is_string()) {
-    hash_bytes(h, v.as_string().data(), v.as_string().size());
+    h = fnv1a_bytes(h, v.as_string());
   } else if (v.is_array()) {
     for (const auto& e : v.as_array()) hash_value(h, e);
   } else if (v.is_map()) {
     for (const auto& [k, e] : v.as_map()) {
-      hash_bytes(h, k.data(), k.size());
+      h = fnv1a_bytes(h, k);
       hash_value(h, e);
     }
   }
@@ -396,8 +391,6 @@ void hash_value(std::uint64_t& h, const Value& v) {
 }  // namespace
 
 namespace {
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-
 // Lazily computes and caches the node's content hash.  The cache is written
 // value-then-ready (release) and read ready-then-value (acquire) so
 // concurrent readers of a shared node either see the complete pair or
@@ -407,7 +400,7 @@ std::uint64_t cached_node_hash(const RepT& rep, const Value& v) {
   if (rep.hash_ready.load(std::memory_order_acquire)) {
     return rep.cached_hash.load(std::memory_order_relaxed);
   }
-  std::uint64_t h = kFnvBasis;
+  std::uint64_t h = kFnv1aBasis;
   hash_value(h, v);
   rep.cached_hash.store(h, std::memory_order_relaxed);
   rep.hash_ready.store(true, std::memory_order_release);
@@ -418,7 +411,7 @@ std::uint64_t cached_node_hash(const RepT& rep, const Value& v) {
 std::uint64_t Value::hash() const {
   if (is_array()) return cached_node_hash(*std::get<ArrayPtr>(v_), *this);
   if (is_map()) return cached_node_hash(*std::get<MapPtr>(v_), *this);
-  std::uint64_t h = kFnvBasis;
+  std::uint64_t h = kFnv1aBasis;
   hash_value(h, *this);
   return h;
 }

@@ -1,22 +1,12 @@
 #include "wire/frame.h"
 
+#include "util/fnv.h"
+
 namespace ftss::wire {
 
 namespace {
 
 constexpr std::uint8_t kMagic[4] = {'F', 'T', 'S', 'W'};
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv_bytes(std::uint64_t h, const std::uint8_t* p,
-                        std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 void put_u32le(std::uint8_t* p, std::uint32_t x) {
   for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(x >> (8 * i));
 }
@@ -36,10 +26,8 @@ std::uint64_t get_u64le(const std::uint8_t* p) {
 
 // Hash of one frame's covered region: header bytes [4, 12) then the body.
 std::uint64_t frame_hash(const std::uint8_t* frame, std::size_t body_len) {
-  std::uint64_t h = kFnvBasis;
-  h = fnv_bytes(h, frame + 4, 8);
-  h = fnv_bytes(h, frame + kFrameHeaderSize, body_len);
-  return h;
+  const std::uint64_t h = fnv1a_bytes(kFnv1aBasis, frame + 4, 8);
+  return fnv1a_bytes(h, frame + kFrameHeaderSize, body_len);
 }
 
 }  // namespace
