@@ -14,12 +14,14 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
 #include "check/explorer.h"
 #include "obs/flight.h"
 #include "obs/trace.h"
+#include "util/numeric.h"
 
 namespace {
 
@@ -159,6 +161,9 @@ int main(int argc, char** argv) {
   std::string metrics_path;
   std::string dump_dir;
   int dump_trial = -1;
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
+  constexpr unsigned kMaxUnsigned = std::numeric_limits<unsigned>::max();
+  constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::max();
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -169,15 +174,25 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric flag's value: all of the next argument, inside [lo, hi].
+    auto number = [&](auto lo, auto hi) {
+      const char* text = next();
+      const auto value = ftss::parse_integer(text, lo, hi);
+      if (!value) {
+        std::cerr << "ftss_check: " << arg << " needs an integer in [" << lo
+                  << ", " << hi << "], got '" << text << "'\n";
+        std::exit(2);
+      }
+      return *value;
+    };
     if (arg == "--trials") {
-      config.trials = std::atoi(next());
+      config.trials = number(0, kMaxInt);
     } else if (arg == "--seed") {
-      config.seed = std::strtoull(next(), nullptr, 10);
+      config.seed = number(std::uint64_t{0}, kMaxSeed);
     } else if (arg == "--jobs" || arg == "--threads") {
-      config.jobs = static_cast<unsigned>(std::atoi(next()));
+      config.jobs = number(0u, kMaxUnsigned);
     } else if (arg == "--sim-threads") {
-      ftss::set_sim_threads_default(
-          static_cast<unsigned>(std::atoi(next())));
+      ftss::set_sim_threads_default(number(0u, kMaxUnsigned));
     } else if (arg == "--mode") {
       const std::string m = next();
       config.adversary.allow_sync = m == "all" || m == "sync";
@@ -198,7 +213,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-shrink") {
       config.shrink = false;
     } else if (arg == "--max-failures") {
-      config.max_failures = std::atoi(next());
+      config.max_failures = number(0, kMaxInt);
     } else if (arg == "--replay") {
       replay_path = next();
     } else if (arg == "--trace-out") {
@@ -206,7 +221,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics-out") {
       metrics_path = next();
     } else if (arg == "--dump-trial") {
-      dump_trial = std::atoi(next());
+      dump_trial = number(0, kMaxInt);
     } else if (arg == "--dump-dir") {
       dump_dir = next();
     } else {

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -20,6 +21,7 @@
 #include "conform/conform.h"
 #include "obs/flight.h"
 #include "sim/simulator.h"
+#include "util/numeric.h"
 
 namespace {
 
@@ -168,6 +170,9 @@ int main(int argc, char** argv) {
   std::string replay_path;
   std::string lockstep_path;
   std::string transport_path;
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
+  constexpr unsigned kMaxUnsigned = std::numeric_limits<unsigned>::max();
+  constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::max();
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -178,19 +183,29 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric flag's value: all of the next argument, inside [lo, hi].
+    auto number = [&](auto lo, auto hi) {
+      const char* text = next();
+      const auto value = ftss::parse_integer(text, lo, hi);
+      if (!value) {
+        std::cerr << "ftss_conform: " << arg << " needs an integer in [" << lo
+                  << ", " << hi << "], got '" << text << "'\n";
+        std::exit(2);
+      }
+      return *value;
+    };
     if (arg == "--trials") {
-      config.trials = std::atoi(next());
+      config.trials = number(0, kMaxInt);
     } else if (arg == "--seed") {
-      config.seed = std::strtoull(next(), nullptr, 10);
+      config.seed = number(std::uint64_t{0}, kMaxSeed);
     } else if (arg == "--jobs" || arg == "--threads") {
-      config.jobs = static_cast<unsigned>(std::atoi(next()));
+      config.jobs = number(0u, kMaxUnsigned);
     } else if (arg == "--sim-threads") {
-      ftss::set_sim_threads_default(
-          static_cast<unsigned>(std::atoi(next())));
+      ftss::set_sim_threads_default(number(0u, kMaxUnsigned));
     } else if (arg == "--no-shrink") {
       config.shrink = false;
     } else if (arg == "--max-failures") {
-      config.max_failures = std::atoi(next());
+      config.max_failures = number(0, kMaxInt);
     } else if (arg == "--svc-batching") {
       svc_batching = true;
     } else if (arg == "--replay") {

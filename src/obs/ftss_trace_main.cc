@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -20,6 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/history_dump.h"
+#include "util/numeric.h"
 
 namespace {
 
@@ -107,6 +109,17 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric flag's value: all of the next argument, inside [lo, hi].
+    auto number = [&](auto lo, auto hi) {
+      const char* text = next();
+      const auto value = ftss::parse_integer(text, lo, hi);
+      if (!value) {
+        std::cerr << "ftss_trace: " << arg << " needs an integer in [" << lo
+                  << ", " << hi << "], got '" << text << "'\n";
+        std::exit(2);
+      }
+      return *value;
+    };
     if (arg == "--plan") {
       plan_path = next();
     } else if (arg == "--flight") {
@@ -120,7 +133,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics") {
       metrics_path = next();
     } else if (arg == "--ring") {
-      ring = static_cast<std::size_t>(std::atoll(next()));
+      ring = number(std::size_t{0}, std::numeric_limits<std::size_t>::max());
     } else if (arg == "--dump") {
       dump = true;
     } else {

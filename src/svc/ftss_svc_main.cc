@@ -17,11 +17,13 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "svc/service.h"
+#include "util/numeric.h"
 #include "util/parallel.h"
 
 namespace {
@@ -90,6 +92,11 @@ int main(int argc, char** argv) {
   unsigned jobs = 0;
   std::string json_path, metrics_path;
   bool quiet = false;
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
+  constexpr unsigned kMaxU = std::numeric_limits<unsigned>::max();
+  constexpr std::int64_t kZero = 0;
+  constexpr std::int64_t kMax64 = std::numeric_limits<std::int64_t>::max();
+  constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::max();
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -100,18 +107,29 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--n") base.n = std::atoi(next());
-    else if (arg == "--seed") base.seed = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--batch") base.batch = std::atoi(next());
-    else if (arg == "--pipeline") base.pipeline_depth = std::atoll(next());
-    else if (arg == "--clients") base.clients = std::atoll(next());
-    else if (arg == "--reads") base.read_permille = std::atoi(next());
-    else if (arg == "--horizon") base.horizon = std::atoll(next());
-    else if (arg == "--lease") base.lease_bound = std::atoll(next());
+    // A numeric flag's value: all of the next argument, inside [lo, hi].
+    auto number = [&](auto lo, auto hi) {
+      const char* text = next();
+      const auto value = ftss::parse_integer(text, lo, hi);
+      if (!value) {
+        std::cerr << "ftss_svc: " << arg << " needs an integer in [" << lo
+                  << ", " << hi << "], got '" << text << "'\n";
+        std::exit(2);
+      }
+      return *value;
+    };
+    if (arg == "--n") base.n = number(1, kMaxInt);
+    else if (arg == "--seed") base.seed = number(std::uint64_t{0}, kMaxSeed);
+    else if (arg == "--batch") base.batch = number(1, kMaxInt);
+    else if (arg == "--pipeline") base.pipeline_depth = number(kZero, kMax64);
+    else if (arg == "--clients") base.clients = number(kZero, kMax64);
+    else if (arg == "--reads") base.read_permille = number(0, 1000);
+    else if (arg == "--horizon") base.horizon = number(kZero, kMax64);
+    else if (arg == "--lease") base.lease_bound = number(kZero, kMax64);
     else if (arg == "--plan") plan_kind = next();
-    else if (arg == "--corrupt-at") corrupt_at = std::atoll(next());
-    else if (arg == "--plans") plans = std::atoi(next());
-    else if (arg == "--jobs" || arg == "--threads") jobs = std::atoi(next());
+    else if (arg == "--corrupt-at") corrupt_at = number(kZero, kMax64);
+    else if (arg == "--plans") plans = number(0, kMaxInt);
+    else if (arg == "--jobs" || arg == "--threads") jobs = number(0u, kMaxU);
     else if (arg == "--json") json_path = next();
     else if (arg == "--metrics-out") metrics_path = next();
     else if (arg == "--quiet") quiet = true;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+
 namespace ftss {
 namespace {
 
@@ -76,6 +79,39 @@ TEST(ClampRound, TagClampStrictlyAboveRestoreClamp) {
   EXPECT_GT(kTagClampMagnitude, kRoundClampMagnitude + 1'000'000'000LL);
   EXPECT_EQ(clamp_round_tag(kRoundClampMagnitude + 12345),
             kRoundClampMagnitude + 12345);
+}
+
+TEST(ParseInteger, AcceptsWholeNumbersInRange) {
+  EXPECT_EQ(parse_integer("0", 0, 10), 0);
+  EXPECT_EQ(parse_integer("10", 0, 10), 10);
+  EXPECT_EQ(parse_integer("-3", -5, 5), -3);
+  EXPECT_EQ(parse_integer("007", 0, 10), 7);
+  EXPECT_EQ(parse_integer<std::uint64_t>("18446744073709551615", 0,
+                                         UINT64_MAX),
+            UINT64_MAX);
+  EXPECT_EQ(parse_integer<std::int64_t>("-9223372036854775808", INT64_MIN,
+                                        INT64_MAX),
+            INT64_MIN);
+}
+
+TEST(ParseInteger, RejectsAnythingButOneWholeNumber) {
+  for (const char* text : {"", "abc", "12abc", "1.5", "1e3", " 1", "1 ", "+1",
+                           "0x10", "-", "--1"}) {
+    EXPECT_EQ(parse_integer(text, INT32_MIN, INT32_MAX), std::nullopt)
+        << "'" << text << "'";
+  }
+}
+
+TEST(ParseInteger, RejectsValuesOutsideTheRange) {
+  EXPECT_EQ(parse_integer("-5", 0, 100), std::nullopt);
+  EXPECT_EQ(parse_integer("101", 0, 100), std::nullopt);
+  EXPECT_EQ(parse_integer("0", 1, 100), std::nullopt);
+  // Overflow of the target type, and a sign an unsigned type cannot hold.
+  EXPECT_EQ(parse_integer("2147483648", INT32_MIN, INT32_MAX), std::nullopt);
+  EXPECT_EQ(parse_integer<std::uint64_t>("18446744073709551616", 0,
+                                         UINT64_MAX),
+            std::nullopt);
+  EXPECT_EQ(parse_integer<std::uint64_t>("-1", 0, UINT64_MAX), std::nullopt);
 }
 
 }  // namespace
