@@ -2,6 +2,12 @@
 # EXPECT_EXIT:
 #
 #   cmake -DEXPECT_EXIT=2 -P expect_exit.cmake -- <program> <args>...
+#
+# With -DGOLDEN=G it also passes only if the command's stdout equals the
+# file G byte for byte.  With -DDOCUMENT=D as well, G is compared with the
+# JSON document D the command writes instead of its stdout, minus D's
+# "timing" member: wall-clock data, different on every run.  On a mismatch
+# the actual bytes land in <name of G>.actual in the working directory.
 cmake_minimum_required(VERSION 3.16)
 
 set(command)
@@ -15,9 +21,35 @@ foreach(i RANGE ${last})
   endif()
 endforeach()
 
+if(DEFINED DOCUMENT)
+  file(REMOVE "${DOCUMENT}")
+endif()
 execute_process(COMMAND ${command} RESULT_VARIABLE status
-                OUTPUT_QUIET ERROR_VARIABLE err)
+                OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT "${status}" STREQUAL "${EXPECT_EXIT}")
   message(FATAL_ERROR "exit status ${status}, expected ${EXPECT_EXIT}\n${err}")
 endif()
 message(STATUS "exit status ${status}: ${err}")
+if(NOT DEFINED GOLDEN)
+  return()
+endif()
+
+if(DEFINED DOCUMENT)
+  file(READ "${DOCUMENT}" document)
+  # "timing" holds objects nested two deep ({"histograms": {name: {...}}});
+  # no key or string inside it contains a brace.
+  set(flat "\\{[^{}]*\\}")
+  set(nested "\\{([^{}]|${flat})*\\}")
+  string(REGEX REPLACE ",\"timing\":\\{([^{}]|${nested})*\\}" ""
+         out "${document}")
+  if(out STREQUAL document)
+    message(FATAL_ERROR "${DOCUMENT} has no \"timing\" member")
+  endif()
+endif()
+file(READ "${GOLDEN}" expected)
+if(NOT out STREQUAL expected)
+  get_filename_component(name "${GOLDEN}" NAME)
+  file(WRITE "${name}.actual" "${out}")
+  message(FATAL_ERROR "output differs from ${GOLDEN}; "
+                      "actual output in ${name}.actual")
+endif()
