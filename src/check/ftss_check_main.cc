@@ -5,25 +5,25 @@
 //   ftss_check --replay plan.json               re-run one saved plan
 //   ftss_check --dump-trial 17 --seed 42        print the 17th sampled plan
 //
+// A replayed plan's event trace, happened-before DAG and history table
+// come from ftss_trace --plan plan.json, the one replay-trace writer.
+//
 // Exit code: with --weakened none (the default), 0 iff no trial violated an
 // oracle; with a weakened protocol selected, 0 iff the explorer *caught* it
 // (failing to catch a planted bug is the failure).  --replay exits 0 iff the
 // replayed plan passes.
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <limits>
-#include <sstream>
 #include <string>
 
 #include "check/explorer.h"
 #include "obs/flight.h"
-#include "obs/trace.h"
-#include "util/numeric.h"
+#include "util/cli.h"
 
 namespace {
+
+constexpr char kTool[] = "ftss_check";
 
 void usage() {
   std::cerr
@@ -46,96 +46,35 @@ void usage() {
          "  --metrics-out F  write the aggregated metrics snapshot as JSON\n"
          "                   (\"metrics\" is deterministic: identical for any\n"
          "                   --threads; wall-clock data rides in \"timing\")\n"
-         "  --trace-out F    with --replay: write the replay's event trace\n"
-         "                   (.jsonl -> JSONL, otherwise Chrome trace_event)\n"
          "  --dump-dir D     where failure artifacts (.flight + metrics)\n"
          "                   land (default $FTSS_DUMP_DIR, else \".\");\n"
          "                   decode with ftss_trace --flight\n";
 }
 
-bool write_file(const std::string& path, const std::string& contents,
-                const char* what) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "ftss_check: cannot write " << what << " to " << path << "\n";
-    return false;
-  }
-  out << contents;
-  return true;
-}
-
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
+// The metrics snapshot's ftss-metrics-v1 document for a run of `trials`
+// trials under `run_seed`.
 std::string metrics_json(const ftss::MetricsSnapshot& metrics,
                          std::uint64_t run_seed, int trials) {
-  ftss::Value doc;
-  doc["schema"] = ftss::Value("ftss-metrics-v1");
+  ftss::Value doc = metrics.document();
   doc["seed"] = ftss::Value(static_cast<std::int64_t>(run_seed));
   doc["trials"] = ftss::Value(trials);
-  std::ostringstream fp;
-  fp << "0x" << std::hex << metrics.fingerprint();
-  doc["fingerprint"] = ftss::Value(fp.str());
-  // "metrics" is the deterministic part (identical across --threads and
-  // machine speed); wall-clock histograms go in "timing" so the split is
-  // unmissable to anything diffing these files.
-  doc["metrics"] = metrics.stable_value();
-  doc["timing"] = metrics.timing_value();
   return doc.to_string() + "\n";
 }
 
-// Dump-on-failure: flight ring + full metrics snapshot, reproducer-adjacent.
-void dump_failure(const std::string& dump_dir, const char* stem,
-                  const ftss::MetricsSnapshot& metrics) {
-  const std::string prefix =
-      ftss::failure_dump_dir(dump_dir) + "/" + stem;
-  const std::string path = ftss::dump_failure_artifacts(prefix, &metrics);
-  if (!path.empty()) {
-    std::cout << "flight dump: " << path << " (decode with ftss_trace "
-              << "--flight " << path << ")\n";
-  }
-}
-
-int replay(const std::string& path, const std::string& trace_path,
-           const std::string& metrics_path, const std::string& dump_dir) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "ftss_check: cannot open " << path << "\n";
-    return 2;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const auto parsed = ftss::Value::parse(buffer.str());
-  if (!parsed) {
-    std::cerr << "ftss_check: " << path << " is not valid plan JSON\n";
-    return 2;
-  }
-  const auto plan = ftss::TrialPlan::from_value(*parsed);
+int replay(const std::string& path, const std::string& metrics_path,
+           const std::string& dump_dir) {
+  std::string error;
+  const auto plan = ftss::load_plan_file(path, &error);
   if (!plan) {
-    std::cerr << "ftss_check: " << path << " is not a well-formed plan\n";
+    std::cerr << kTool << ": " << error << "\n";
     return 2;
   }
   std::cout << plan->describe();
 
-  ftss::JsonlTraceSink jsonl;
-  ftss::ChromeTraceSink chrome;
-  ftss::TrialRunOptions options;
-  const bool want_jsonl = ends_with(trace_path, ".jsonl");
-  if (!trace_path.empty()) {
-    options.trace = want_jsonl ? static_cast<ftss::TraceSink*>(&jsonl)
-                               : static_cast<ftss::TraceSink*>(&chrome);
-  }
-  const ftss::TrialResult result = ftss::run_trial(*plan, options);
-  if (!trace_path.empty() &&
-      !write_file(trace_path, want_jsonl ? jsonl.to_string() : chrome.to_string(),
-                  "trace")) {
-    return 2;
-  }
+  const ftss::TrialResult result = ftss::run_trial(*plan);
   if (!metrics_path.empty() &&
-      !write_file(metrics_path, metrics_json(result.metrics, plan->trial_seed, 1),
-                  "metrics")) {
+      !ftss::write_file(kTool, metrics_path,
+                        metrics_json(result.metrics, plan->trial_seed, 1))) {
     return 2;
   }
   if (result.evaluation.ok()) {
@@ -148,7 +87,8 @@ int replay(const std::string& path, const std::string& trace_path,
     return 0;
   }
   std::cout << "FAIL\n" << result.evaluation.describe();
-  dump_failure(dump_dir, "ftss_check_replay_failure", result.metrics);
+  ftss::report_failure_dump(dump_dir, "ftss_check_replay_failure",
+                            &result.metrics);
   return 1;
 }
 
@@ -157,7 +97,6 @@ int replay(const std::string& path, const std::string& trace_path,
 int main(int argc, char** argv) {
   ftss::ExplorerConfig config;
   std::string replay_path;
-  std::string trace_path;
   std::string metrics_path;
   std::string dump_dir;
   int dump_trial = -1;
@@ -165,36 +104,19 @@ int main(int argc, char** argv) {
   constexpr unsigned kMaxUnsigned = std::numeric_limits<unsigned>::max();
   constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::max();
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "ftss_check: " << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    // A numeric flag's value: all of the next argument, inside [lo, hi].
-    auto number = [&](auto lo, auto hi) {
-      const char* text = next();
-      const auto value = ftss::parse_integer(text, lo, hi);
-      if (!value) {
-        std::cerr << "ftss_check: " << arg << " needs an integer in [" << lo
-                  << ", " << hi << "], got '" << text << "'\n";
-        std::exit(2);
-      }
-      return *value;
-    };
+  ftss::FlagReader flags(kTool, argc, argv);
+  while (flags.next()) {
+    const std::string& arg = flags.flag();
     if (arg == "--trials") {
-      config.trials = number(0, kMaxInt);
+      config.trials = flags.number(0, kMaxInt);
     } else if (arg == "--seed") {
-      config.seed = number(std::uint64_t{0}, kMaxSeed);
+      config.seed = flags.number(std::uint64_t{0}, kMaxSeed);
     } else if (arg == "--jobs" || arg == "--threads") {
-      config.jobs = number(0u, kMaxUnsigned);
+      config.jobs = flags.number(0u, kMaxUnsigned);
     } else if (arg == "--sim-threads") {
-      ftss::set_sim_threads_default(number(0u, kMaxUnsigned));
+      ftss::set_sim_threads_default(flags.number(0u, kMaxUnsigned));
     } else if (arg == "--mode") {
-      const std::string m = next();
+      const std::string m = flags.value();
       config.adversary.allow_sync = m == "all" || m == "sync";
       config.adversary.allow_jitter = m == "all" || m == "jitter";
       config.adversary.allow_compiled = m == "all" || m == "compiled";
@@ -204,7 +126,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--weakened") {
-      const auto w = ftss::parse_weakened_kind(next());
+      const auto w = ftss::parse_weakened_kind(flags.value());
       if (!w) {
         std::cerr << "ftss_check: unknown --weakened kind\n";
         return 2;
@@ -213,31 +135,23 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-shrink") {
       config.shrink = false;
     } else if (arg == "--max-failures") {
-      config.max_failures = number(0, kMaxInt);
+      config.max_failures = flags.number(0, kMaxInt);
     } else if (arg == "--replay") {
-      replay_path = next();
-    } else if (arg == "--trace-out") {
-      trace_path = next();
+      replay_path = flags.value();
     } else if (arg == "--metrics-out") {
-      metrics_path = next();
+      metrics_path = flags.value();
     } else if (arg == "--dump-trial") {
-      dump_trial = number(0, kMaxInt);
+      dump_trial = flags.number(0, kMaxInt);
     } else if (arg == "--dump-dir") {
-      dump_dir = next();
+      dump_dir = flags.value();
     } else {
       usage();
       return arg == "--help" || arg == "-h" ? 0 : 2;
     }
   }
 
-  if (!trace_path.empty() && replay_path.empty()) {
-    std::cerr << "ftss_check: --trace-out requires --replay (traces are "
-                 "per-execution; use ftss_trace for saved plans)\n";
-    return 2;
-  }
-
   if (!replay_path.empty()) {
-    return replay(replay_path, trace_path, metrics_path, dump_dir);
+    return replay(replay_path, metrics_path, dump_dir);
   }
 
   if (dump_trial >= 0) {
@@ -252,16 +166,17 @@ int main(int argc, char** argv) {
   std::cout << report.summary();
 
   if (!metrics_path.empty() &&
-      !write_file(metrics_path,
-                  metrics_json(report.metrics, config.seed, report.trials),
-                  "metrics")) {
+      !ftss::write_file(kTool, metrics_path,
+                        metrics_json(report.metrics, config.seed,
+                                     report.trials))) {
     return 2;
   }
 
   if (config.weakened == ftss::WeakenedKind::kNone) {
     if (report.failing_trials > 0) {
       // An oracle failed on a real protocol: preserve the black box.
-      dump_failure(dump_dir, "ftss_check_failure", report.metrics);
+      ftss::report_failure_dump(dump_dir, "ftss_check_failure",
+                                &report.metrics);
       return 1;
     }
     return 0;

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "sim/corrupt.h"
+#include "util/cli.h"
 
 namespace ftss {
 
@@ -223,6 +224,23 @@ std::string TrialPlan::describe() const {
   }
   if (faults.empty() && corruptions.empty()) os << "  (no adversary)\n";
   return os.str();
+}
+
+std::optional<TrialPlan> load_plan_file(const std::string& path,
+                                        std::string* error) {
+  const std::optional<std::string> text = read_file(path);
+  if (!text) {
+    *error = "cannot open " + path;
+    return std::nullopt;
+  }
+  const std::optional<Value> parsed = Value::parse(*text);
+  if (!parsed) {
+    *error = path + " is not valid plan JSON";
+    return std::nullopt;
+  }
+  std::optional<TrialPlan> plan = TrialPlan::from_value(*parsed);
+  if (!plan) *error = path + " is not a well-formed plan";
+  return plan;
 }
 
 const char* to_string(TrialMode mode) {

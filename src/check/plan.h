@@ -85,6 +85,12 @@ struct TrialPlan {
   std::string describe() const;
 };
 
+// The plan in the JSON file at `path` (as ftss_check --dump-trial prints
+// it), or nullopt with *error set to why not: "cannot open <path>",
+// "<path> is not valid plan JSON" or "<path> is not a well-formed plan".
+std::optional<TrialPlan> load_plan_file(const std::string& path,
+                                        std::string* error);
+
 // The concrete corrupted state a CorruptionSpec injects.
 Value corruption_value(const CorruptionSpec& spec);
 

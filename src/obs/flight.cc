@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
+#include <iostream>
 #include <string_view>
 #include <utility>
 
@@ -421,27 +421,24 @@ std::string dump_failure_artifacts(const std::string& prefix,
   if (!FlightRecorder::global().dump_to_file(flight_path)) return "";
   if (metrics != nullptr) {
     std::ofstream out(prefix + ".metrics.json", std::ios::trunc);
-    if (out) {
-      // Same shape the CLIs emit for --metrics-out: the deterministic part
-      // under "metrics" (what the fingerprint hashes), timing alongside.
-      Value doc;
-      doc["schema"] = Value("ftss-metrics-v1");
-      std::ostringstream fp;
-      fp << "0x" << std::hex << metrics->fingerprint();
-      doc["fingerprint"] = Value(fp.str());
-      doc["metrics"] = metrics->stable_value();
-      doc["timing"] = metrics->timing_value();
-      out << doc.to_string() << "\n";
-    }
+    if (out) out << metrics->document().to_string() << "\n";
   }
   return flight_path;
 }
 
-std::string failure_dump_dir(const std::string& flag) {
-  if (!flag.empty()) return flag;
-  const char* env = std::getenv("FTSS_DUMP_DIR");
-  if (env != nullptr && env[0] != '\0') return env;
-  return ".";
+void report_failure_dump(const std::string& dir_flag, const char* stem,
+                         const MetricsSnapshot* metrics) {
+  std::string dir = dir_flag;
+  if (dir.empty()) {
+    const char* env = std::getenv("FTSS_DUMP_DIR");
+    dir = env != nullptr && env[0] != '\0' ? env : ".";
+  }
+  const std::string path =
+      dump_failure_artifacts(dir + "/" + stem, metrics);
+  if (!path.empty()) {
+    std::cout << "flight dump: " << path << " (decode with ftss_trace "
+              << "--flight " << path << ")\n";
+  }
 }
 
 // --- Simulator adapter ----------------------------------------------------

@@ -164,16 +164,19 @@ std::string flight_dump_to_chrome(const FlightDump& dump);
 
 // --- Failure artifacts ----------------------------------------------------
 
-// Dump-on-failure helper shared by the ftss_check / ftss_conform drivers:
-// writes <prefix>.flight (the global recorder's dump) and, when `metrics`
-// is non-null, <prefix>.metrics.json (full snapshot, timing included).
-// Returns the flight-dump path, or "" if writing it failed.
+// Writes <prefix>.flight (the global recorder's dump) and, when `metrics`
+// is non-null, <prefix>.metrics.json (its ftss-metrics-v1 document, timing
+// included).  Returns the flight-dump path, or "" if writing it failed.
 std::string dump_failure_artifacts(const std::string& prefix,
                                    const MetricsSnapshot* metrics);
 
-// Resolves the directory failure artifacts go to: `flag` if non-empty, else
-// $FTSS_DUMP_DIR, else ".".
-std::string failure_dump_dir(const std::string& flag);
+// Dump-on-failure for the ftss_check / ftss_conform tools: writes the
+// artifacts above as <dir>/<stem>.*, where <dir> is `dir_flag` (their
+// --dump-dir) if non-empty, else $FTSS_DUMP_DIR, else ".", and prints
+// "flight dump: <path> (decode with ftss_trace --flight <path>)" to stdout
+// if the flight dump was written.
+void report_failure_dump(const std::string& dir_flag, const char* stem,
+                         const MetricsSnapshot* metrics);
 
 // --- Simulator adapter ----------------------------------------------------
 

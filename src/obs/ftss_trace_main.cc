@@ -8,11 +8,10 @@
 //
 // Exit code 0 iff the replayed plan passes its oracles (same convention as
 // ftss_check --replay), so tracing a pinned reproducer doubles as a check.
-#include <cstdlib>
-#include <fstream>
+#include <cstdint>
 #include <iostream>
 #include <limits>
-#include <sstream>
+#include <optional>
 #include <string>
 
 #include "check/explorer.h"
@@ -21,9 +20,11 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/history_dump.h"
-#include "util/numeric.h"
+#include "util/cli.h"
 
 namespace {
+
+constexpr char kTool[] = "ftss_trace";
 
 void usage() {
   std::cerr << "usage: ftss_trace --plan FILE [outputs]\n"
@@ -42,32 +43,19 @@ void usage() {
                "                  suspect sets) to stdout\n";
 }
 
-bool write_file(const std::string& path, const std::string& contents) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "ftss_trace: cannot write " << path << "\n";
-    return false;
-  }
-  out << contents;
-  return true;
-}
-
 // --flight mode: no simulator run, just decode the dump and convert.
 // Exit 2 with the typed wire error on any malformed/truncated file.
 int decode_flight(const std::string& flight_path, const std::string& jsonl_path,
                   const std::string& chrome_path) {
-  std::ifstream in(flight_path, std::ios::binary);
-  if (!in) {
-    std::cerr << "ftss_trace: cannot open " << flight_path << "\n";
+  const std::optional<std::string> bytes = ftss::read_file(flight_path);
+  if (!bytes) {
+    std::cerr << kTool << ": cannot open " << flight_path << "\n";
     return 2;
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string bytes = buffer.str();
   const ftss::FlightDecodeResult decoded = ftss::decode_flight_dump(
-      reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size());
+      reinterpret_cast<const std::uint8_t*>(bytes->data()), bytes->size());
   if (decoded.error != ftss::wire::WireError::kOk) {
-    std::cerr << "ftss_trace: " << flight_path << ": "
+    std::cerr << kTool << ": " << flight_path << ": "
               << ftss::wire::wire_error_name(decoded.error) << "\n";
     return 2;
   }
@@ -79,11 +67,13 @@ int decode_flight(const std::string& flight_path, const std::string& jsonl_path,
             << events << " events, rings_dropped "
             << decoded.dump.rings_dropped << "\n";
   if (!jsonl_path.empty() &&
-      !write_file(jsonl_path, ftss::flight_dump_to_jsonl(decoded.dump))) {
+      !ftss::write_file(kTool, jsonl_path,
+                        ftss::flight_dump_to_jsonl(decoded.dump))) {
     return 2;
   }
   if (!chrome_path.empty() &&
-      !write_file(chrome_path, ftss::flight_dump_to_chrome(decoded.dump))) {
+      !ftss::write_file(kTool, chrome_path,
+                        ftss::flight_dump_to_chrome(decoded.dump))) {
     return 2;
   }
   if (jsonl_path.empty() && chrome_path.empty()) {
@@ -100,40 +90,24 @@ int main(int argc, char** argv) {
   std::size_t ring = 0;
   bool dump = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "ftss_trace: " << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    // A numeric flag's value: all of the next argument, inside [lo, hi].
-    auto number = [&](auto lo, auto hi) {
-      const char* text = next();
-      const auto value = ftss::parse_integer(text, lo, hi);
-      if (!value) {
-        std::cerr << "ftss_trace: " << arg << " needs an integer in [" << lo
-                  << ", " << hi << "], got '" << text << "'\n";
-        std::exit(2);
-      }
-      return *value;
-    };
+  ftss::FlagReader flags(kTool, argc, argv);
+  while (flags.next()) {
+    const std::string& arg = flags.flag();
     if (arg == "--plan") {
-      plan_path = next();
+      plan_path = flags.value();
     } else if (arg == "--flight") {
-      flight_path = next();
+      flight_path = flags.value();
     } else if (arg == "--jsonl") {
-      jsonl_path = next();
+      jsonl_path = flags.value();
     } else if (arg == "--chrome") {
-      chrome_path = next();
+      chrome_path = flags.value();
     } else if (arg == "--dot") {
-      dot_path = next();
+      dot_path = flags.value();
     } else if (arg == "--metrics") {
-      metrics_path = next();
+      metrics_path = flags.value();
     } else if (arg == "--ring") {
-      ring = number(std::size_t{0}, std::numeric_limits<std::size_t>::max());
+      ring = flags.number(std::size_t{0},
+                          std::numeric_limits<std::size_t>::max());
     } else if (arg == "--dump") {
       dump = true;
     } else {
@@ -149,18 +123,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::ifstream in(plan_path);
-  if (!in) {
-    std::cerr << "ftss_trace: cannot open " << plan_path << "\n";
-    return 2;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const auto parsed = ftss::Value::parse(buffer.str());
-  const auto plan =
-      parsed ? ftss::TrialPlan::from_value(*parsed) : std::nullopt;
+  std::string error;
+  const auto plan = ftss::load_plan_file(plan_path, &error);
   if (!plan) {
-    std::cerr << "ftss_trace: " << plan_path << " is not a replayable plan\n";
+    std::cerr << kTool << ": " << error << "\n";
     return 2;
   }
   std::cout << plan->describe();
@@ -188,14 +154,17 @@ int main(int argc, char** argv) {
   if (tee.a != nullptr || tee.b != nullptr) options.trace = &tee;
   const ftss::TrialResult result = ftss::run_trial(*plan, options);
 
-  if (!jsonl_path.empty() && !write_file(jsonl_path, jsonl.to_string())) {
+  if (!jsonl_path.empty() &&
+      !ftss::write_file(kTool, jsonl_path, jsonl.to_string())) {
     return 2;
   }
-  if (!chrome_path.empty() && !write_file(chrome_path, chrome.to_string())) {
+  if (!chrome_path.empty() &&
+      !ftss::write_file(kTool, chrome_path, chrome.to_string())) {
     return 2;
   }
   if (!dot_path.empty() &&
-      !write_file(dot_path, ftss::causal_dot_to_string(history))) {
+      !ftss::write_file(kTool, dot_path,
+                        ftss::causal_dot_to_string(history))) {
     return 2;
   }
   if (dump) {
@@ -206,16 +175,12 @@ int main(int argc, char** argv) {
   }
 
   if (!metrics_path.empty()) {
-    ftss::Value doc;
-    doc["schema"] = ftss::Value("ftss-metrics-v1");
+    ftss::Value doc = result.metrics.document();
     doc["plan_seed"] =
         ftss::Value(static_cast<std::int64_t>(plan->trial_seed));
-    std::ostringstream fp;
-    fp << "0x" << std::hex << result.metrics.fingerprint();
-    doc["fingerprint"] = ftss::Value(fp.str());
-    doc["metrics"] = result.metrics.stable_value();
-    doc["timing"] = result.metrics.timing_value();
-    if (!write_file(metrics_path, doc.to_string() + "\n")) return 2;
+    if (!ftss::write_file(kTool, metrics_path, doc.to_string() + "\n")) {
+      return 2;
+    }
   }
 
   if (result.evaluation.ok()) {

@@ -1,6 +1,8 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <sstream>
+#include <utility>
 
 namespace ftss {
 
@@ -189,6 +191,18 @@ Value MetricsSnapshot::stable_value() const {
 
 Value MetricsSnapshot::timing_value() const {
   return snapshot_to_value(*this, 2);
+}
+
+Value MetricsSnapshot::document() const {
+  Value stable = stable_value();
+  std::ostringstream fingerprint;
+  fingerprint << "0x" << std::hex << stable.hash();
+  Value doc;
+  doc["schema"] = Value("ftss-metrics-v1");
+  doc["fingerprint"] = Value(fingerprint.str());
+  doc["metrics"] = std::move(stable);
+  doc["timing"] = timing_value();
+  return doc;
 }
 
 void MetricsRegistry::add(const std::string& name, std::int64_t delta) {

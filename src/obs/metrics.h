@@ -105,6 +105,14 @@ struct MetricsSnapshot {
   // Stable content fingerprint (Value::hash of the canonical *stable*
   // form) — invariant under profiling, recorder state and machine speed.
   std::uint64_t fingerprint() const { return stable_value().hash(); }
+
+  // The ftss-metrics-v1 document every tool writes: {"schema",
+  // "fingerprint" ("0x" + hex), "metrics": stable_value(), "timing":
+  // timing_value()}.  "metrics" is the deterministic part (identical across
+  // --threads and machine speed); wall-clock histograms ride in "timing" so
+  // the split is unmissable to anything diffing these files.  Callers add
+  // what identifies their run (seed and trials, or plan_seed).
+  Value document() const;
 };
 
 // Accumulation-side API.  Not thread-safe by design: each worker owns a
