@@ -1,6 +1,5 @@
 #include "check/adversary.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "protocols/suite.h"
@@ -9,6 +8,12 @@
 namespace ftss {
 
 namespace {
+
+// Sampled systems have kMinN..kMaxN processes; jitter trials draw
+// max_extra_delay from [1, kMaxJitter].
+constexpr int kMinN = 3;
+constexpr int kMaxN = 8;
+constexpr int kMaxJitter = 3;
 
 // A corrupted round counter whose magnitude spans everything from off-by-one
 // to astronomically far from the actual round.
@@ -75,10 +80,9 @@ FaultSpec sample_ra_fault(Rng& rng, ProcessId p, int n, Round onset_max,
   return f;
 }
 
-void sample_round_agreement(Rng& rng, bool jitter, int max_jitter,
-                            TrialPlan& plan) {
+void sample_round_agreement(Rng& rng, bool jitter, TrialPlan& plan) {
   plan.max_extra_delay =
-      jitter ? static_cast<int>(rng.uniform(1, std::max(1, max_jitter))) : 0;
+      jitter ? static_cast<int>(rng.uniform(1, kMaxJitter)) : 0;
   // Jitter trials bound every fault to the first kFaultEpoch rounds and run
   // long enough past it that the eventual-agreement oracle has a judgeable
   // tail (see check_round_agreement_eventual's inconclusive rule).
@@ -98,10 +102,9 @@ void sample_round_agreement(Rng& rng, bool jitter, int max_jitter,
   }
 }
 
-void sample_compiled(Rng& rng, TrialPlan& plan, const AdversaryConfig& config) {
+void sample_compiled(Rng& rng, TrialPlan& plan) {
   plan.f_budget = static_cast<int>(rng.uniform(1, 2));
-  plan.n = static_cast<int>(rng.uniform(
-      std::max(config.min_n, plan.f_budget + 2), std::max(config.max_n, 4)));
+  plan.n = static_cast<int>(rng.uniform(plan.f_budget + 2, kMaxN));
   const auto& suite = protocol_suite();
   plan.protocol =
       suite[static_cast<std::size_t>(rng.uniform(
@@ -150,11 +153,9 @@ void sample_compiled(Rng& rng, TrialPlan& plan, const AdversaryConfig& config) {
 // one receive-deaf process whose round counter free-runs from a stale
 // (negative) value, replaying inputs of long-gone iterations.  With the tag
 // filter on this is harmless; with kCompilerNoRoundTags it must be caught.
-void sample_stale_poison(Rng& rng, TrialPlan& plan,
-                         const AdversaryConfig& config) {
+void sample_stale_poison(Rng& rng, TrialPlan& plan) {
   plan.f_budget = 1;
-  plan.n = static_cast<int>(
-      rng.uniform(std::max(config.min_n, 3), std::max(config.max_n, 4)));
+  plan.n = static_cast<int>(rng.uniform(kMinN, kMaxN));
   plan.protocol = "floodset-consensus";  // min-of-values: stale inputs win
   plan.rounds = 24 + 10 * (plan.f_budget + 1);
   const ProcessId stale = static_cast<ProcessId>(rng.uniform(0, plan.n - 1));
@@ -180,14 +181,14 @@ TrialPlan sample_trial(const AdversaryConfig& config, WeakenedKind weakened,
   TrialPlan plan;
   plan.trial_seed = trial_seed;
   plan.weakened = weakened;
-  plan.n = static_cast<int>(rng.uniform(config.min_n, config.max_n));
+  plan.n = static_cast<int>(rng.uniform(kMinN, kMaxN));
 
   if (weakened == WeakenedKind::kCompilerNoRoundTags) {
     plan.mode = TrialMode::kCompiled;
     if (rng.chance(0.85)) {
-      sample_stale_poison(rng, plan, config);
+      sample_stale_poison(rng, plan);
     } else {
-      sample_compiled(rng, plan, config);
+      sample_compiled(rng, plan);
     }
     return plan;
   }
@@ -208,13 +209,13 @@ TrialPlan sample_trial(const AdversaryConfig& config, WeakenedKind weakened,
 
   switch (plan.mode) {
     case TrialMode::kRoundAgreementSync:
-      sample_round_agreement(rng, /*jitter=*/false, config.max_jitter, plan);
+      sample_round_agreement(rng, /*jitter=*/false, plan);
       break;
     case TrialMode::kRoundAgreementJitter:
-      sample_round_agreement(rng, /*jitter=*/true, config.max_jitter, plan);
+      sample_round_agreement(rng, /*jitter=*/true, plan);
       break;
     case TrialMode::kCompiled:
-      sample_compiled(rng, plan, config);
+      sample_compiled(rng, plan);
       break;
   }
   return plan;

@@ -4,12 +4,13 @@
 // fully reproducible from (generator config, seed) and the sampled plan can
 // be serialized, replayed and shrunk independently of the generator.
 //
-// What gets sampled, per mode:
+// Every sampled system has n ∈ [3, 8] processes.  What gets sampled, per
+// mode:
 //  * round-agreement (sync):  up to n-1 faulty processes mixing crash /
 //    send-omission / receive-omission (random onset rounds, windows, peers,
 //    drop probabilities), round-counter and garbage corruption of most
 //    processes.  Checked against the strict Theorem 3 obligation.
-//  * round-agreement-jitter:  the same under max_extra_delay ∈ [1, max],
+//  * round-agreement-jitter:  the same under max_extra_delay ∈ [1, 3],
 //    with fault windows bounded so the history has a judgeable tail.
 //  * compiled:  a random protocol_suite() protocol under crash faults,
 //    receive-omission faults and consistent (full-broadcast) send-omission
@@ -27,9 +28,6 @@
 namespace ftss {
 
 struct AdversaryConfig {
-  int min_n = 3;
-  int max_n = 8;
-  int max_jitter = 3;  // max_extra_delay upper bound for jitter trials
   bool allow_sync = true;
   bool allow_jitter = true;
   bool allow_compiled = true;

@@ -17,6 +17,8 @@ namespace ftss {
 
 namespace {
 
+constexpr int kShrinkBudget = 400;  // candidate executions per failure
+
 std::set<std::string> oracle_set(const TrialEvaluation& eval) {
   std::set<std::string> names;
   for (const auto& v : eval.violations) names.insert(v.oracle);
@@ -171,7 +173,7 @@ ExplorerReport explore(const ExplorerConfig& config) {
         f.index = i;
         f.original = r.plan;
         if (config.shrink) {
-          ShrinkResult s = shrink_trial(r, config.shrink_budget);
+          ShrinkResult s = shrink_trial(r, kShrinkBudget);
           f.shrunk = s.plan;
           f.shrink_steps = s.steps_accepted;
           f.violations = run_trial(f.shrunk).evaluation.violations;

@@ -15,6 +15,8 @@ namespace ftss {
 
 namespace {
 
+constexpr int kShrinkBudget = 200;  // candidate executions per divergent plan
+
 std::vector<ProcessId> rotation(int n) {
   std::vector<ProcessId> perm(n);
   for (int p = 0; p < n; ++p) perm[p] = (p + 1) % n;
@@ -164,7 +166,7 @@ ConformReport conform_sweep(const ConformConfig& config) {
                                      original_kinds.end(), kinds.begin(),
                                      kinds.end());
               },
-              config.shrink_budget);
+              kShrinkBudget);
           failure.shrunk = s.plan;
           failure.shrink_steps = s.steps_accepted;
           failure.divergences =

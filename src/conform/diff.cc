@@ -27,11 +27,11 @@ std::vector<SendRecord> canonical_sends(const RoundRecord& rec) {
   return out;
 }
 
-std::string send_brief(const SendRecord& s, bool with_payload) {
+std::string send_brief(const SendRecord& s) {
   std::ostringstream os;
   os << s.sender << "->" << s.dest << " sent@" << s.sent_round << " due@"
      << s.delivery_round << " " << fate_name(s.fate);
-  if (with_payload && !s.payload.is_null()) os << " " << s.payload.to_string();
+  if (!s.payload.is_null()) os << " " << s.payload.to_string();
   return os.str();
 }
 
@@ -54,32 +54,30 @@ std::string bools_str(const std::vector<bool>& bs) {
   return out;
 }
 
+// Keeps the first kMaxDivergences reports; the scan goes on past them, but
+// their details are never built.
+constexpr std::size_t kMaxDivergences = 16;
+
 class DivergenceSink {
  public:
-  DivergenceSink(std::vector<Divergence>& out, int max) : out_(out), max_(max) {}
+  explicit DivergenceSink(std::vector<Divergence>& out) : out_(out) {}
 
   template <typename MakeDetail>
   void report(const char* kind, Round round, MakeDetail&& make_detail) {
-    ++found_;
-    if (static_cast<int>(out_.size()) < max_) {
+    if (out_.size() < kMaxDivergences) {
       out_.push_back(Divergence{kind, round, make_detail()});
     }
   }
 
-  int found() const { return found_; }
-
  private:
   std::vector<Divergence>& out_;
-  int max_;
-  int found_ = 0;
 };
 
 }  // namespace
 
-std::vector<Divergence> diff_histories(const History& a, const History& b,
-                                       const DiffOptions& options) {
+std::vector<Divergence> diff_histories(const History& a, const History& b) {
   std::vector<Divergence> out;
-  DivergenceSink sink(out, options.max_divergences);
+  DivergenceSink sink(out);
 
   if (a.n != b.n) {
     sink.report("length", 0, [&] {
@@ -121,7 +119,7 @@ std::vector<Divergence> diff_histories(const History& a, const History& b,
                  " vs " + clock_str(rb.clock[p]);
         });
       }
-      if (options.compare_states && ra.state[p] != rb.state[p]) {
+      if (ra.state[p] != rb.state[p]) {
         sink.report("state", r, [&] {
           return "p" + std::to_string(p) + ": " + ra.state[p].to_string() +
                  " vs " + rb.state[p].to_string();
@@ -140,21 +138,18 @@ std::vector<Divergence> diff_histories(const History& a, const History& b,
       }
       const std::size_t ns = std::min(sa.size(), sb.size());
       for (std::size_t s = 0; s < ns; ++s) {
-        const bool payload_differs =
-            options.compare_payloads && !(sa[s].payload == sb[s].payload);
         if (sa[s].sender != sb[s].sender || sa[s].dest != sb[s].dest ||
             sa[s].sent_round != sb[s].sent_round ||
             sa[s].delivery_round != sb[s].delivery_round ||
-            sa[s].fate != sb[s].fate || payload_differs) {
+            sa[s].fate != sb[s].fate || !(sa[s].payload == sb[s].payload)) {
           sink.report("sends", r, [&] {
-            return send_brief(sa[s], options.compare_payloads) + " vs " +
-                   send_brief(sb[s], options.compare_payloads);
+            return send_brief(sa[s]) + " vs " + send_brief(sb[s]);
           });
         }
       }
     }
 
-    if (options.compare_suspects && ra.suspects != rb.suspects) {
+    if (ra.suspects != rb.suspects) {
       sink.report("suspects", r, [&] {
         for (std::size_t p = 0; p < ra.suspects.size() && p < rb.suspects.size();
              ++p) {
@@ -193,7 +188,7 @@ std::uint64_t history_fingerprint(const History& h) {
           fp, rec.state[p].is_null() ? "-" : rec.state[p].to_string());
     }
     for (const SendRecord& s : canonical_sends(rec)) {
-      fp = fnv1a_bytes(fp, send_brief(s, /*with_payload=*/true));
+      fp = fnv1a_bytes(fp, send_brief(s));
     }
     for (const auto& susp : rec.suspects) fp = fnv1a_bytes(fp, ids_str(susp));
     fp = fnv1a_bytes(fp, bools_str(rec.faulty_by_now));

@@ -27,19 +27,13 @@
 
 namespace ftss {
 
-struct DiffOptions {
-  bool compare_states = true;    // per-process state snapshots
-  bool compare_payloads = true;  // message payloads inside send records
-  bool compare_suspects = true;  // §2.4 suspect sets
-  int max_divergences = 16;      // stop reporting (not scanning) past this
-};
-
-std::vector<Divergence> diff_histories(const History& a, const History& b,
-                                       const DiffOptions& options = {});
+// Every disagreement between `a` and `b`, per-process states, message
+// payloads and §2.4 suspect sets included; only the first 16 are reported.
+std::vector<Divergence> diff_histories(const History& a, const History& b);
 
 // Stable content fingerprint of a history under the same canonicalization
 // the differ uses (per-round send multisets).  Equal fingerprints <=> the
-// differ finds nothing, for the default DiffOptions.
+// differ finds nothing.
 std::uint64_t history_fingerprint(const History& h);
 
 // Structural deep copy: the result compares equal to `v` but shares no

@@ -31,8 +31,7 @@ void HeartbeatFd::on_message(ModuleContext& ctx, ProcessId from, const Value&) {
   if (from < 0 || from >= n_ || from == self_) return;
   if (suspected_[from]) {
     // False suspicion: back off so it eventually stops happening (post-GST).
-    timeout_[from] = clamp_timeout(
-        static_cast<Time>(static_cast<double>(timeout_[from]) * config_.backoff));
+    timeout_[from] = clamp_timeout(2 * timeout_[from]);
     suspected_[from] = false;
   }
   last_heard_[from] = ctx.now();

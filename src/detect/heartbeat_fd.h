@@ -3,7 +3,7 @@
 // The standard realization of an eventually-accurate detector under partial
 // synchrony: every process broadcasts heartbeats on each tick; s is
 // suspected when no heartbeat arrived within timeout[s]; a false suspicion
-// (heartbeat from a suspected process) multiplies timeout[s] by `backoff`.
+// (heartbeat from a suspected process) doubles timeout[s].
 // After GST message delays are bounded, so each correct process is falsely
 // suspected only finitely often — eventual strong accuracy — while a crashed
 // process stops producing heartbeats and is suspected forever — strong
@@ -25,7 +25,6 @@ namespace ftss {
 struct HeartbeatFdConfig {
   Time initial_timeout = 60;
   Time max_timeout = 5000;
-  double backoff = 2.0;
 };
 
 class HeartbeatFd : public Module, public FailureDetector {
