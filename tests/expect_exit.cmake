@@ -6,8 +6,11 @@
 # With -DGOLDEN=G it also passes only if the command's stdout equals the
 # file G byte for byte.  With -DDOCUMENT=D as well, G is compared with the
 # JSON document D the command writes instead of its stdout, minus D's
-# "timing" member: wall-clock data, different on every run.  On a mismatch
-# the actual bytes land in <name of G>.actual in the working directory.
+# "timing" member: wall-clock data, different on every run.  With
+# -DWRITTEN=W instead, G holds the SHA-256 of the file W the command
+# writes (one hex line), which keeps large outputs out of the tree.  On a
+# mismatch the actual bytes (W itself in the last mode) land in
+# <name of G>.actual in the working directory.
 cmake_minimum_required(VERSION 3.16)
 
 set(command)
@@ -24,6 +27,9 @@ endforeach()
 if(DEFINED DOCUMENT)
   file(REMOVE "${DOCUMENT}")
 endif()
+if(DEFINED WRITTEN)
+  file(REMOVE "${WRITTEN}")
+endif()
 execute_process(COMMAND ${command} RESULT_VARIABLE status
                 OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT "${status}" STREQUAL "${EXPECT_EXIT}")
@@ -31,6 +37,21 @@ if(NOT "${status}" STREQUAL "${EXPECT_EXIT}")
 endif()
 message(STATUS "exit status ${status}: ${err}")
 if(NOT DEFINED GOLDEN)
+  return()
+endif()
+
+get_filename_component(name "${GOLDEN}" NAME)
+if(DEFINED WRITTEN)
+  if(NOT EXISTS "${WRITTEN}")
+    message(FATAL_ERROR "the command wrote no ${WRITTEN}")
+  endif()
+  file(SHA256 "${WRITTEN}" actual)
+  file(STRINGS "${GOLDEN}" expected LIMIT_COUNT 1)
+  if(NOT actual STREQUAL expected)
+    configure_file("${WRITTEN}" "${name}.actual" COPYONLY)
+    message(FATAL_ERROR "${WRITTEN} has SHA-256 ${actual}, ${GOLDEN} says "
+                        "${expected}; actual file in ${name}.actual")
+  endif()
   return()
 endif()
 
@@ -48,7 +69,6 @@ if(DEFINED DOCUMENT)
 endif()
 file(READ "${GOLDEN}" expected)
 if(NOT out STREQUAL expected)
-  get_filename_component(name "${GOLDEN}" NAME)
   file(WRITE "${name}.actual" "${out}")
   message(FATAL_ERROR "output differs from ${GOLDEN}; "
                       "actual output in ${name}.actual")
