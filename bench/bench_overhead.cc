@@ -178,9 +178,10 @@ void print_ablation() {
 // Tracing overhead on the round-agreement hot loop.  Arg encodes the sink:
 // 0 = no sink attached (the production configuration — the kTraced=false
 // run_rounds instantiation contains no emission code at all, so this must
-// track the pre-trace-layer cost), 1 = ring-buffered JSONL sink, 2 = Chrome
-// sink, 3 = flight-recorder sink (one binary ring event per simulator
-// event).  Compare arg 0 against arg 1/2/3 to see what each sink costs.
+// track the pre-trace-layer cost), 1 = trace tape rendered as JSONL, 2 =
+// trace tape rendered as Chrome JSON, 3 = flight-recorder sink (one binary
+// ring event per simulator event).  Compare arg 0 against arg 1/2/3 to see
+// what each sink costs.
 void BM_TracedRoundAgreement(benchmark::State& state) {
   const int n = 16;
   const int sink_kind = static_cast<int>(state.range(0));
@@ -192,14 +193,14 @@ void BM_TracedRoundAgreement(benchmark::State& state) {
     }
     SyncSimulator sim(SyncConfig{.seed = 1, .record_states = false},
                       std::move(procs));
-    JsonlTraceSink jsonl(/*capacity=*/4096);
-    ChromeTraceSink chrome;
+    TraceTape tape;
     FlightTraceSink flight;
-    if (sink_kind == 1) sim.set_trace_sink(&jsonl);
-    if (sink_kind == 2) sim.set_trace_sink(&chrome);
+    if (sink_kind == 1 || sink_kind == 2) sim.set_trace_sink(&tape);
     if (sink_kind == 3) sim.set_trace_sink(&flight);
     sim.run_rounds(20);
     benchmark::DoNotOptimize(sim.history().length());
+    if (sink_kind == 1) benchmark::DoNotOptimize(trace_to_jsonl(tape).size());
+    if (sink_kind == 2) benchmark::DoNotOptimize(trace_to_chrome(tape).size());
   }
   state.SetItemsProcessed(state.iterations() * 20);
 }

@@ -230,10 +230,10 @@ OracleResult check_trace_transparency(const TrialPlan& plan,
   plain.history_out = &base;
   const TrialResult plain_result = run_trial(base_plan, plain);
 
-  JsonlTraceSink sink;  // unbounded ring: every event retained
+  TraceTape tape;
   TrialRunOptions traced;
   traced.record_states = true;
-  traced.trace = &sink;
+  traced.trace = &tape;
   History with_trace;
   traced.history_out = &with_trace;
   const TrialResult traced_result = run_trial(plan, traced);
@@ -243,7 +243,7 @@ OracleResult check_trace_transparency(const TrialPlan& plan,
     res.divergences.push_back(Divergence{
         "metrics", plan.rounds, "traced and untraced metrics differ"});
   }
-  if (sink.events().empty()) {
+  if (tape.events().empty()) {
     res.divergences.push_back(Divergence{
         "trace", 0, "trace sink attached but no events were emitted"});
   }

@@ -1,10 +1,7 @@
 #include "obs/causal_export.h"
 
 #include <algorithm>
-#include <ostream>
 #include <sstream>
-
-#include "obs/trace.h"
 
 namespace ftss {
 
@@ -16,7 +13,8 @@ std::string node(ProcessId p, Round r) {
 
 }  // namespace
 
-void export_causal_dot(std::ostream& os, const History& h) {
+std::string causal_dot_to_string(const History& h) {
+  std::ostringstream os;
   const Round to = h.length();
   const std::vector<bool> coterie =
       h.rounds.empty() ? std::vector<bool>(h.n, false)
@@ -74,79 +72,6 @@ void export_causal_dot(std::ostream& os, const History& h) {
   }
 
   os << "}\n";
-}
-
-std::string causal_dot_to_string(const History& h) {
-  std::ostringstream os;
-  export_causal_dot(os, h);
-  return os.str();
-}
-
-void export_chrome_flows(std::ostream& os, const History& h) {
-  constexpr std::int64_t us = kChromeUsPerRound;
-  Value::Array out;
-
-  for (ProcessId p = 0; p < h.n; ++p) {
-    Value meta = chrome_record("thread_name", "M", 0, p);
-    meta["args"]["name"] = Value("process " + std::to_string(p));
-    out.push_back(std::move(meta));
-  }
-
-  // Per-(round, process) slices carrying the clock value, so the flow
-  // arrows have slices to attach to and the timeline doubles as a clock
-  // table.
-  for (const RoundRecord& rec : h.rounds) {
-    const std::int64_t ts = rec.round * us;
-    for (ProcessId p = 0; p < h.n; ++p) {
-      if (!rec.alive[p]) continue;
-      std::string label = "r" + std::to_string(rec.round);
-      if (rec.clock[p]) label += " c=" + std::to_string(*rec.clock[p]);
-      Value span = chrome_record(std::move(label), "X", ts, p);
-      span["dur"] = Value(us);
-      out.push_back(std::move(span));
-    }
-  }
-
-  // Message edges as flows; drops as instants with their cause.
-  std::int64_t flow_id = 0;
-  for (const RoundRecord& rec : h.rounds) {
-    for (const SendRecord& s : rec.sends) {
-      if (s.fate == Fate::kDelivered && s.sender != s.dest) {
-        const std::int64_t id = flow_id++;
-        Value start =
-            chrome_record("msg", "s", s.sent_round * us + us / 4, s.sender);
-        start["id"] = Value(id);
-        out.push_back(std::move(start));
-        Value finish = chrome_record(
-            "msg", "f", s.delivery_round * us + (3 * us) / 4, s.dest);
-        finish["id"] = Value(id);
-        finish["bp"] = Value("e");
-        out.push_back(std::move(finish));
-      } else if (s.fate != Fate::kDelivered) {
-        Value inst = chrome_record(
-            "drop", "i", s.delivery_round * us + (3 * us) / 4, s.dest);
-        inst["s"] = Value("t");
-        inst["args"]["cause"] = Value(fate_cause(s.fate));
-        inst["args"]["sender"] = Value(s.sender);
-        inst["args"]["sent_round"] = Value(s.sent_round);
-        out.push_back(std::move(inst));
-      }
-    }
-  }
-
-  // De-stabilizing events.
-  for (Round r : h.coterie_change_rounds()) {
-    Value inst = chrome_record("coterie change", "i", r * us + us - 1, 0);
-    inst["s"] = Value("g");
-    out.push_back(std::move(inst));
-  }
-
-  os << chrome_document(std::move(out), "ms") << "\n";
-}
-
-std::string chrome_flows_to_string(const History& h) {
-  std::ostringstream os;
-  export_chrome_flows(os, h);
   return os.str();
 }
 

@@ -9,15 +9,11 @@
 // and annotates the rounds where the coterie changed; a wrong coterie
 // becomes visible as a missing path.
 //
-// Two formats:
-//  * export_causal_dot    — Graphviz digraph for offline auditing;
-//  * export_chrome_flows  — Chrome trace_event JSON whose "s"/"f" flow
-//    arrows are precisely the message edges (load in chrome://tracing or
-//    https://ui.perfetto.dev).  Built straight from the History, so saved
-//    histories can be visualized without re-running with a live sink.
+// The rendering is a Graphviz digraph for offline auditing.  A live run's
+// trace draws the same message edges as Chrome flow arrows
+// (trace_to_chrome, obs/trace.h).
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "sim/history.h"
@@ -25,11 +21,6 @@
 namespace ftss {
 
 // Rank-aligned clusters, one per round, over the whole history.
-void export_causal_dot(std::ostream& os, const History& h);
 std::string causal_dot_to_string(const History& h);
-
-// kChromeUsPerRound (obs/trace.h) virtual microseconds per round.
-void export_chrome_flows(std::ostream& os, const History& h);
-std::string chrome_flows_to_string(const History& h);
 
 }  // namespace ftss

@@ -131,35 +131,24 @@ int main(int argc, char** argv) {
   }
   std::cout << plan->describe();
 
-  // One simulator run feeds every requested backend: JSONL and Chrome sinks
-  // both observe it via a small tee, and the DOT/flow exports read the
-  // recorded history afterwards.
-  ftss::JsonlTraceSink jsonl(ring);
-  ftss::ChromeTraceSink chrome;
-  struct Tee : ftss::TraceSink {
-    ftss::TraceSink* a = nullptr;
-    ftss::TraceSink* b = nullptr;
-    void event(const ftss::TraceEvent& e) override {
-      if (a != nullptr) a->event(e);
-      if (b != nullptr) b->event(e);
-    }
-  } tee;
-  if (!jsonl_path.empty()) tee.a = &jsonl;
-  if (!chrome_path.empty()) tee.b = &chrome;
-
+  // One simulator run feeds every requested output: the JSONL and Chrome
+  // files render one trace tape, and the DOT export and dump read the
+  // recorded history afterwards.  Only the JSONL honours --ring, so the
+  // tape keeps every event when a Chrome file is asked for.
+  ftss::TraceTape tape(chrome_path.empty() ? ring : 0);
   ftss::History history;
   ftss::TrialRunOptions options;
   options.record_states = true;  // dumps and DOT need clocks + suspect sets
   options.history_out = &history;
-  if (tee.a != nullptr || tee.b != nullptr) options.trace = &tee;
+  if (!jsonl_path.empty() || !chrome_path.empty()) options.trace = &tape;
   const ftss::TrialResult result = ftss::run_trial(*plan, options);
 
   if (!jsonl_path.empty() &&
-      !ftss::write_file(kTool, jsonl_path, jsonl.to_string())) {
+      !ftss::write_file(kTool, jsonl_path, ftss::trace_to_jsonl(tape, ring))) {
     return 2;
   }
   if (!chrome_path.empty() &&
-      !ftss::write_file(kTool, chrome_path, chrome.to_string())) {
+      !ftss::write_file(kTool, chrome_path, ftss::trace_to_chrome(tape))) {
     return 2;
   }
   if (!dot_path.empty() &&

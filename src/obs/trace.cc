@@ -1,9 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <ostream>
 #include <set>
-#include <sstream>
 
 namespace ftss {
 
@@ -20,22 +18,21 @@ Value trace_event_to_value(const TraceEvent& e) {
   return v;
 }
 
-void JsonlTraceSink::event(const TraceEvent& e) {
-  if (capacity_ > 0 && events_.size() >= capacity_) {
-    events_.pop_front();
-    ++dropped_;
+void TraceTape::event(const TraceEvent& e) {
+  if (capacity_ > 0 && events_.size() >= capacity_) events_.pop_front();
+  events_.push_back(e);
+}
+
+std::string trace_to_jsonl(const TraceTape& tape, std::size_t newest) {
+  const std::deque<TraceEvent>& events = tape.events();
+  const std::size_t skip =
+      newest > 0 && newest < events.size() ? events.size() - newest : 0;
+  std::string out;
+  for (auto it = events.begin() + skip; it != events.end(); ++it) {
+    out += trace_event_to_value(*it).to_string();
+    out += '\n';
   }
-  events_.push_back(trace_event_to_value(e));
-}
-
-void JsonlTraceSink::write(std::ostream& os) const {
-  for (const Value& v : events_) os << v.to_string() << "\n";
-}
-
-std::string JsonlTraceSink::to_string() const {
-  std::ostringstream os;
-  write(os);
-  return os.str();
+  return out;
 }
 
 Value chrome_record(std::string name, const char* ph, std::int64_t ts,
@@ -56,16 +53,15 @@ std::string chrome_document(Value::Array events, const char* time_unit) {
   return doc.to_string();
 }
 
-void ChromeTraceSink::event(const TraceEvent& e) { events_.push_back(e); }
-
 namespace {
 
 constexpr std::int64_t kRoundsTrack = 1000000;  // tid of the rounds lane
 
 }  // namespace
 
-void ChromeTraceSink::write(std::ostream& os) const {
-  constexpr std::int64_t us = kChromeUsPerRound;
+std::string trace_to_chrome(const TraceTape& tape) {
+  constexpr std::int64_t us = 1000;  // virtual microseconds per round
+  const std::deque<TraceEvent>& events = tape.events();
   Value::Array out;
 
   // Pass 1: the processes the trace mentions, and which flows complete.  A
@@ -73,7 +69,7 @@ void ChromeTraceSink::write(std::ostream& os) const {
   // no "s" record (the drop instant marks them instead).
   ProcessId max_p = -1;
   std::set<std::int64_t> delivered_flows;
-  for (const TraceEvent& e : events_) {
+  for (const TraceEvent& e : events) {
     max_p = std::max({max_p, e.process, e.peer});
     if (e.kind == TraceEventKind::kDeliver && e.flow_id >= 0) {
       delivered_flows.insert(e.flow_id);
@@ -93,7 +89,7 @@ void ChromeTraceSink::write(std::ostream& os) const {
 
   // Pass 2: spans.  Every (round, process) gets an "X" slice so flow arrows
   // have slices to bind to; the rounds lane gets one slice per round.
-  for (const TraceEvent& e : events_) {
+  for (const TraceEvent& e : events) {
     if (e.kind != TraceEventKind::kRoundBegin) continue;
     const std::int64_t ts = e.round * us;
     {
@@ -110,7 +106,7 @@ void ChromeTraceSink::write(std::ostream& os) const {
   }
 
   // Pass 3: the events themselves.
-  for (const TraceEvent& e : events_) {
+  for (const TraceEvent& e : events) {
     const std::int64_t ts = e.round * us;
     switch (e.kind) {
       case TraceEventKind::kRoundBegin:
@@ -174,13 +170,7 @@ void ChromeTraceSink::write(std::ostream& os) const {
     }
   }
 
-  os << chrome_document(std::move(out), "ms") << "\n";
-}
-
-std::string ChromeTraceSink::to_string() const {
-  std::ostringstream os;
-  write(os);
-  return os.str();
+  return chrome_document(std::move(out), "ms") + "\n";
 }
 
 }  // namespace ftss

@@ -1,16 +1,16 @@
-// Concrete TraceSink backends and trace serialization.
+// The trace tape and its two renderings.
 //
-//  * JsonlTraceSink — ring-buffered structured sink: events are kept as
-//    Values (one JSON object per event) in a bounded ring so a long run
-//    traces at O(capacity) memory; write() emits one JSON line per event
-//    (JSONL), parseable back with Value::parse for round-trip tests.
-//  * ChromeTraceSink — accumulates events and writes the Chrome
-//    trace_event JSON format (load in chrome://tracing or Perfetto):
-//    per-round "X" duration spans on a dedicated rounds track, per-process
-//    instant events, and "s"/"f" flow arrows for every delivered message —
-//    the happened-before edges of Definition 2.3 drawn as arrows.
+//  * TraceTape — the sink: keeps the run's events in arrival order,
+//    optionally only the newest N, so a long run traces at O(N) memory.
+//  * trace_to_jsonl — one JSON object per event per line (JSONL),
+//    parseable back with Value::parse for round-trip tests.
+//  * trace_to_chrome — the Chrome trace_event JSON format (load in
+//    chrome://tracing or Perfetto): per-round "X" duration spans on a
+//    dedicated rounds track, per-process instant events, and "s"/"f" flow
+//    arrows for every delivered message — the happened-before edges of
+//    Definition 2.3 drawn as arrows.
 //
-// Both sinks are deterministic: identical event streams serialize to
+// Both renderings are deterministic: identical event streams serialize to
 // identical bytes (no wall-clock timestamps; the virtual time axis is the
 // round number).
 #pragma once
@@ -18,7 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
 #include <string>
 
 #include "sim/trace.h"
@@ -30,30 +29,31 @@ namespace ftss {
 // with absent/default fields omitted.  Value::parse inverts the JSONL line.
 Value trace_event_to_value(const TraceEvent& e);
 
-class JsonlTraceSink : public TraceSink {
+class TraceTape : public TraceSink {
  public:
-  // capacity 0 = unbounded; otherwise the ring keeps the newest `capacity`
-  // events and counts what it had to evict.
-  explicit JsonlTraceSink(std::size_t capacity = 0) : capacity_(capacity) {}
+  // capacity 0 keeps every event; otherwise the tape keeps the newest
+  // `capacity` events.
+  explicit TraceTape(std::size_t capacity = 0) : capacity_(capacity) {}
 
   void event(const TraceEvent& e) override;
 
-  const std::deque<Value>& events() const { return events_; }
-  std::size_t dropped_events() const { return dropped_; }
-
-  // One compact JSON object per line.
-  void write(std::ostream& os) const;
-  std::string to_string() const;
+  const std::deque<TraceEvent>& events() const { return events_; }
 
  private:
   std::size_t capacity_;
-  std::size_t dropped_ = 0;
-  std::deque<Value> events_;
+  std::deque<TraceEvent> events_;
 };
 
-// Chrome trace_event building blocks shared by every Chrome writer: this
-// sink, export_chrome_flows (obs/causal_export.h) and flight_dump_to_chrome
-// (obs/flight.h).
+// One compact JSON object per line, for the newest `newest` events on the
+// tape (0 = all of them).
+std::string trace_to_jsonl(const TraceTape& tape, std::size_t newest = 0);
+
+// The complete {"traceEvents": [...]} document, one virtual millisecond per
+// round.
+std::string trace_to_chrome(const TraceTape& tape);
+
+// Chrome trace_event building blocks shared by both Chrome writers:
+// trace_to_chrome and flight_dump_to_chrome (obs/flight.h).
 //
 // One trace_event record; writers add "dur", "id", "s", "args" as needed.
 // All fields are integers or strings, so Value renders it with correct
@@ -63,21 +63,5 @@ Value chrome_record(std::string name, const char* ph, std::int64_t ts,
 // The rendered {"traceEvents": [...], "displayTimeUnit": ...} document,
 // without a trailing newline.
 std::string chrome_document(Value::Array events, const char* time_unit);
-
-// Virtual microseconds per simulated round: the time axis of the two
-// virtual-time writers (this sink and export_chrome_flows).
-inline constexpr std::int64_t kChromeUsPerRound = 1000;
-
-class ChromeTraceSink : public TraceSink {
- public:
-  void event(const TraceEvent& e) override;
-
-  // Complete {"traceEvents": [...]} document.
-  void write(std::ostream& os) const;
-  std::string to_string() const;
-
- private:
-  std::deque<TraceEvent> events_;
-};
 
 }  // namespace ftss

@@ -5,8 +5,10 @@
 // structure to reconstruct the run: message fates with their causes, clock
 // adoptions, fault manifestations, coterie changes (the paper's
 // de-stabilizing events) and Π⁺ suspect-set deltas.  The interface lives in
-// sim/ so SyncSimulator can emit without depending on the obs/ backends;
-// concrete sinks (ring-buffered JSONL, Chrome trace_event) are in obs/trace.h.
+// sim/ so SyncSimulator can emit without depending on the obs/ backends:
+// the trace tape with its JSONL and Chrome trace_event renderings
+// (obs/trace.h) and the flight recorder's sink (obs/flight.h).  `detail`
+// points at a static string, so a sink may keep events as they are.
 //
 // Cost discipline: the simulator holds a nullable TraceSink* and guards
 // every emission with a null check, so tracing-off runs pay one predictable

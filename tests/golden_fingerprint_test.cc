@@ -37,14 +37,14 @@ constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 
 // One sync-simulator golden case: run the plan with full state recording,
 // fold the verbose history dump, the metrics fingerprint and (optionally)
-// the JSONL trace tape into one FNV fingerprint.
+// the trace tape's JSONL into one FNV fingerprint.
 std::uint64_t sync_fingerprint(const TrialPlan& plan, bool traced) {
-  JsonlTraceSink sink;
+  TraceTape tape;
   TrialRunOptions options;
   options.record_states = true;
   History history;
   options.history_out = &history;
-  if (traced) options.trace = &sink;
+  if (traced) options.trace = &tape;
   const TrialResult result = run_trial(plan, options);
 
   DumpOptions dump;
@@ -54,7 +54,7 @@ std::uint64_t sync_fingerprint(const TrialPlan& plan, bool traced) {
   fp = fnv(fp, history_to_string(history, dump));
   fp = fnv(fp, std::to_string(result.metrics.fingerprint()));
   for (const auto& v : result.evaluation.violations) fp = fnv(fp, v.oracle);
-  if (traced) fp = fnv(fp, sink.to_string());
+  if (traced) fp = fnv(fp, trace_to_jsonl(tape));
   return fp;
 }
 
@@ -166,11 +166,11 @@ TEST(GoldenFingerprint, TracedRunMatchesUntracedHistory) {
     untraced.history_out = &h1;
     run_trial(base.plan, untraced);
 
-    JsonlTraceSink sink;
+    TraceTape tape;
     TrialRunOptions traced = untraced;
     History h2;
     traced.history_out = &h2;
-    traced.trace = &sink;
+    traced.trace = &tape;
     run_trial(base.plan, traced);
 
     DumpOptions dump;

@@ -1,13 +1,16 @@
-// Tests for the observability layer: JSONL/Chrome trace sinks, the metrics
-// registry's deterministic merge, causal export, and the dump extensions.
+// Tests for the observability layer: the trace tape and its JSONL/Chrome
+// renderings, the metrics registry's deterministic merge, causal export,
+// and the dump extensions.
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "check/explorer.h"
 #include "core/compiler.h"
@@ -41,22 +44,29 @@ SyncSimulator traced_sim(int max_extra_delay = 0) {
   return sim;
 }
 
-std::map<std::string, int> kind_counts(const JsonlTraceSink& sink) {
-  std::map<std::string, int> counts;
-  std::istringstream in(sink.to_string());
+// The tape's JSONL rendering, parsed back one line at a time.
+std::vector<Value> jsonl_events(const TraceTape& tape) {
+  std::vector<Value> events;
+  std::istringstream in(trace_to_jsonl(tape));
   std::string line;
   while (std::getline(in, line)) {
     auto v = Value::parse(line);
     EXPECT_TRUE(v.has_value()) << line;
-    if (v) ++counts[v->at("ev").string_or("?")];
+    if (v) events.push_back(std::move(*v));
   }
+  return events;
+}
+
+std::map<std::string, int> kind_counts(const TraceTape& tape) {
+  std::map<std::string, int> counts;
+  for (const Value& v : jsonl_events(tape)) ++counts[v.at("ev").string_or("?")];
   return counts;
 }
 
 TEST(JsonlTrace, RoundTripsAgainstHistory) {
   SyncSimulator sim = traced_sim();
-  JsonlTraceSink sink;
-  sim.set_trace_sink(&sink);
+  TraceTape tape;
+  sim.set_trace_sink(&tape);
   sim.run_rounds(5);
   const History& h = sim.history();
 
@@ -75,7 +85,7 @@ TEST(JsonlTrace, RoundTripsAgainstHistory) {
     if (i == 0 || rec.coterie != h.rounds[i - 1].coterie) ++coterie_changes;
   }
 
-  auto counts = kind_counts(sink);
+  auto counts = kind_counts(tape);
   EXPECT_EQ(counts["round_begin"], h.length());
   EXPECT_EQ(counts["round_end"], h.length());
   // No jitter: every sent message resolves in its sending round, so the
@@ -92,13 +102,13 @@ TEST(JsonlTrace, RoundTripsAgainstHistory) {
 
 TEST(JsonlTrace, DropCausesAndFlowIdsRecorded) {
   SyncSimulator sim = traced_sim();
-  JsonlTraceSink sink;
-  sim.set_trace_sink(&sink);
+  TraceTape tape;
+  sim.set_trace_sink(&tape);
   sim.run_rounds(4);
 
   bool saw_dest_crashed = false, saw_receive_omission = false;
   std::map<std::int64_t, int> flow_uses;
-  for (const Value& v : sink.events()) {
+  for (const Value& v : jsonl_events(tape)) {
     const std::string ev = v.at("ev").string_or("?");
     if (ev == "drop") {
       const std::string cause = v.at("cause").string_or("?");
@@ -116,22 +126,32 @@ TEST(JsonlTrace, DropCausesAndFlowIdsRecorded) {
 }
 
 TEST(JsonlTrace, RingBufferKeepsNewestEvents) {
+  SyncSimulator whole_sim = traced_sim();
+  TraceTape whole;
+  whole_sim.set_trace_sink(&whole);
+  whole_sim.run_rounds(10);
   SyncSimulator sim = traced_sim();
-  JsonlTraceSink sink(/*capacity=*/16);
-  sim.set_trace_sink(&sink);
+  TraceTape ring(/*capacity=*/16);
+  sim.set_trace_sink(&ring);
   sim.run_rounds(10);
 
-  EXPECT_EQ(sink.events().size(), 16u);
-  EXPECT_GT(sink.dropped_events(), 0u);
-  const Value& last = sink.events().back();
-  EXPECT_EQ(last.at("ev").string_or("?"), "round_end");
-  EXPECT_EQ(last.at("r").int_or(-1), sim.history().length());
+  ASSERT_GT(whole.events().size(), 16u);
+  EXPECT_EQ(ring.events().size(), 16u);
+  const TraceEvent& last = ring.events().back();
+  EXPECT_EQ(last.kind, TraceEventKind::kRoundEnd);
+  EXPECT_EQ(last.round, sim.history().length());
+  // The ring is the unbounded tape's tail, and rendering only the newest
+  // 16 events of the unbounded tape writes the same lines.
+  const std::string tail = trace_to_jsonl(whole, 16);
+  EXPECT_EQ(trace_to_jsonl(ring), tail);
+  EXPECT_EQ(std::count(tail.begin(), tail.end(), '\n'), 16);
+  EXPECT_EQ(trace_to_jsonl(ring, 100), tail);
 }
 
 TEST(JsonlTrace, JitterDelaysAppearInTraceAndMetrics) {
   SyncSimulator sim = traced_sim(/*max_extra_delay=*/2);
-  JsonlTraceSink sink;
-  sim.set_trace_sink(&sink);
+  TraceTape tape;
+  sim.set_trace_sink(&tape);
   sim.run_rounds(8);
   const History& h = sim.history();
 
@@ -148,7 +168,7 @@ TEST(JsonlTrace, JitterDelaysAppearInTraceAndMetrics) {
   // Trace/history consistency: every send in the history has exactly one
   // trace resolution — delivered, dropped, or flushed as in-flight at the
   // end of the run (traced as a drop with cause "in-flight-at-end").
-  auto counts = kind_counts(sink);
+  auto counts = kind_counts(tape);
   EXPECT_EQ(counts["send"], total);
   EXPECT_EQ(counts["deliver"] + counts["drop"], total);
 
@@ -349,11 +369,11 @@ TEST(Metrics, PercentileUpperBracketsObservations) {
 
 TEST(ChromeTrace, ParsesAsJsonWithSpansAndFlows) {
   SyncSimulator sim = traced_sim();
-  ChromeTraceSink sink;
-  sim.set_trace_sink(&sink);
+  TraceTape tape;
+  sim.set_trace_sink(&tape);
   sim.run_rounds(5);
 
-  const auto doc = Value::parse(sink.to_string());
+  const auto doc = Value::parse(trace_to_chrome(tape));
   ASSERT_TRUE(doc.has_value());
   const Value& events = doc->at("traceEvents");
   ASSERT_TRUE(events.is_array());
@@ -379,11 +399,6 @@ TEST(CausalExport, DotContainsProcessRoundNodesAndMessageEdges) {
   EXPECT_NE(dot.find("p0_r1"), std::string::npos);
   EXPECT_NE(dot.find("->"), std::string::npos);
   EXPECT_NE(dot.find("cluster"), std::string::npos);
-
-  const std::string flows = chrome_flows_to_string(sim.history());
-  const auto doc = Value::parse(flows);
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_GT(doc->at("traceEvents").size(), 0u);
 }
 
 std::uint64_t fnv1a(std::uint64_t h, const std::string& bytes) {
@@ -400,19 +415,16 @@ std::uint64_t fnv1a(std::uint64_t h, const std::string& bytes) {
 // adds in-flight-at-end drops).
 TEST(Exporters, OutputBytesArePinned) {
   std::uint64_t trace = 0xcbf29ce484222325ULL;
-  std::uint64_t flows = trace;
   std::uint64_t dot = trace;
   for (const int delay : {0, 2}) {
     SyncSimulator sim = traced_sim(delay);
-    ChromeTraceSink sink;
-    sim.set_trace_sink(&sink);
+    TraceTape tape;
+    sim.set_trace_sink(&tape);
     sim.run_rounds(5);
-    trace = fnv1a(trace, sink.to_string());
-    flows = fnv1a(flows, chrome_flows_to_string(sim.history()));
+    trace = fnv1a(trace, trace_to_chrome(tape));
     dot = fnv1a(dot, causal_dot_to_string(sim.history()));
   }
   EXPECT_EQ(trace, 0xdf02b518a6f20949ULL) << std::hex << trace;
-  EXPECT_EQ(flows, 0xfe25d7e865d515ffULL) << std::hex << flows;
   EXPECT_EQ(dot, 0x261781d3ed2d1d6dULL) << std::hex << dot;
 
   // A hand-built two-thread flight dump: recorded dumps carry wall-clock
@@ -472,12 +484,12 @@ TEST(Trace, SuspectDeltaEventsTrackCompiledSuspects) {
   FaultPlan mute;
   mute.send_omissions.push_back(OmissionRule{});
   sim.set_fault_plan(3, mute);
-  JsonlTraceSink sink;
-  sim.set_trace_sink(&sink);
+  TraceTape tape;
+  sim.set_trace_sink(&tape);
   sim.run_rounds(6);
 
   bool saw_delta_adding_3 = false;
-  for (const Value& v : sink.events()) {
+  for (const Value& v : jsonl_events(tape)) {
     if (v.at("ev").string_or("?") != "suspect_delta") continue;
     const Value& added = v.at("data").at("added");
     for (const Value& q : added.as_array()) {

@@ -52,17 +52,17 @@ std::uint64_t fnv(std::uint64_t h, std::string_view s) {
 constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 
 // Same folding as golden_fingerprint_test.cc's sync_fingerprint: verbose
-// history dump + metrics fingerprint + oracle violations, plus the JSONL
-// trace tape for traced cases.  The constants asserted below are the exact
+// history dump + metrics fingerprint + oracle violations, plus the trace
+// tape's JSONL for traced cases.  The constants asserted below are the exact
 // pins from that suite, so a lane count that perturbs anything observable,
 // trace events included, fails against the one-lane truth.
 std::uint64_t sync_fingerprint(const TrialPlan& plan, bool traced) {
-  JsonlTraceSink sink;
+  TraceTape tape;
   TrialRunOptions options;
   options.record_states = true;
   History history;
   options.history_out = &history;
-  if (traced) options.trace = &sink;
+  if (traced) options.trace = &tape;
   const TrialResult result = run_trial(plan, options);
 
   DumpOptions dump;
@@ -72,7 +72,7 @@ std::uint64_t sync_fingerprint(const TrialPlan& plan, bool traced) {
   fp = fnv(fp, history_to_string(history, dump));
   fp = fnv(fp, std::to_string(result.metrics.fingerprint()));
   for (const auto& v : result.evaluation.violations) fp = fnv(fp, v.oracle);
-  if (traced) fp = fnv(fp, sink.to_string());
+  if (traced) fp = fnv(fp, trace_to_jsonl(tape));
   return fp;
 }
 
