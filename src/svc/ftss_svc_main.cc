@@ -16,12 +16,14 @@
 #include <cstdlib>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "svc/service.h"
 #include "util/cli.h"
+#include "util/numeric.h"
 #include "util/parallel.h"
 
 namespace {
@@ -52,11 +54,19 @@ void usage() {
          "  --quiet          suppress per-cell lines\n";
 }
 
-int trial_scale() {
+constexpr int kMaxInt = std::numeric_limits<int>::max();
+
+// $FTSS_TRIALS_SCALE as an integer in [1, INT_MAX], 1 when unset; nullopt
+// after a one-line error when it is anything else.
+std::optional<int> trial_scale() {
   const char* env = std::getenv("FTSS_TRIALS_SCALE");
-  if (!env) return 1;
-  const int scale = std::atoi(env);
-  return scale > 0 ? scale : 1;
+  if (env == nullptr) return 1;
+  const std::optional<int> scale = parse_integer(env, 1, kMaxInt);
+  if (!scale) {
+    std::cerr << kTool << ": FTSS_TRIALS_SCALE needs an integer in [1, "
+              << kMaxInt << "], got '" << env << "'\n";
+  }
+  return scale;
 }
 
 std::string hex_fp(std::uint64_t fp) {
@@ -82,7 +92,6 @@ int main(int argc, char** argv) {
   unsigned jobs = 0;
   std::string json_path, metrics_path;
   bool quiet = false;
-  constexpr int kMaxInt = std::numeric_limits<int>::max();
   constexpr unsigned kMaxU = std::numeric_limits<unsigned>::max();
   constexpr std::int64_t kZero = 0;
   constexpr std::int64_t kMax64 = std::numeric_limits<std::int64_t>::max();
@@ -131,8 +140,17 @@ int main(int argc, char** argv) {
   // Build the cell list: one cell, or a grid of sampled plans.
   std::vector<std::uint64_t> plan_seeds;
   if (plans > 0) {
-    const int total = plans * trial_scale();
-    for (int k = 1; k <= total; ++k) plan_seeds.push_back(base.seed + k);
+    const std::optional<int> scale = trial_scale();
+    if (!scale) return 2;
+    const std::int64_t total = std::int64_t{plans} * *scale;
+    if (total > kMaxInt) {
+      std::cerr << kTool << ": --plans " << plans << " times FTSS_TRIALS_SCALE "
+                << *scale << " exceeds " << kMaxInt << " cells\n";
+      return 2;
+    }
+    for (std::int64_t k = 1; k <= total; ++k) {
+      plan_seeds.push_back(base.seed + k);
+    }
   } else {
     plan_seeds.push_back(base.seed);
   }
