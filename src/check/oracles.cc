@@ -12,56 +12,22 @@ namespace ftss {
 
 namespace {
 
-struct PlanIndex {
-  std::vector<std::optional<Round>> crash_at;  // min onset per process
-  std::vector<std::vector<const FaultSpec*>> send_specs;
-  std::vector<std::vector<const FaultSpec*>> receive_specs;
-  std::vector<bool> has_spec;
+// Whether some rule covers (r, other): the rule licenses that drop.
+bool licensed(const std::vector<OmissionRule>& rules, Round r,
+              ProcessId other) {
+  return std::any_of(rules.begin(), rules.end(), [&](const OmissionRule& o) {
+    return o.covers(r, other);
+  });
+}
 
-  explicit PlanIndex(const TrialPlan& plan)
-      : crash_at(plan.n),
-        send_specs(plan.n),
-        receive_specs(plan.n),
-        has_spec(plan.n, false) {
-    for (const auto& f : plan.faults) {
-      has_spec[f.process] = true;
-      switch (f.kind) {
-        case FaultSpec::Kind::kCrash:
-          crash_at[f.process] = crash_at[f.process]
-                                    ? std::min(*crash_at[f.process], f.onset)
-                                    : f.onset;
-          break;
-        case FaultSpec::Kind::kSendOmission:
-          send_specs[f.process].push_back(&f);
-          break;
-        case FaultSpec::Kind::kReceiveOmission:
-          receive_specs[f.process].push_back(&f);
-          break;
-      }
-    }
-  }
-
-  static bool spec_covers(const FaultSpec& f, Round r, ProcessId other) {
-    return r >= f.onset && r <= f.until &&
-           (f.peer == OmissionRule::kAllPeers || f.peer == other);
-  }
-
-  bool licensed(const std::vector<const FaultSpec*>& specs, Round r,
-                ProcessId other) const {
-    for (const auto* f : specs) {
-      if (spec_covers(*f, r, other)) return true;
-    }
-    return false;
-  }
-
-  bool must_drop(const std::vector<const FaultSpec*>& specs, Round r,
-                 ProcessId other) const {
-    for (const auto* f : specs) {
-      if (f->permille == 1000 && spec_covers(*f, r, other)) return true;
-    }
-    return false;
-  }
-};
+// Whether a rule that always drops covers (r, other): the message cannot
+// have been delivered.
+bool must_drop(const std::vector<OmissionRule>& rules, Round r,
+               ProcessId other) {
+  return std::any_of(rules.begin(), rules.end(), [&](const OmissionRule& o) {
+    return o.probability >= 1.0 && o.covers(r, other);
+  });
+}
 
 void add(std::vector<Violation>& out, const std::string& oracle,
          std::string detail) {
@@ -89,11 +55,17 @@ void audit_history(const History& h, const TrialPlan& plan,
     add(out, "audit-length", os.str());
     return;
   }
-  const PlanIndex idx(plan);
+  // What the simulator was told each process may do.
+  std::vector<FaultPlan> faults;
+  faults.reserve(plan.n);
+  for (ProcessId p = 0; p < plan.n; ++p) {
+    faults.push_back(plan.fault_plan_for(p));
+  }
 
   for (const auto& rec : h.rounds) {
     for (ProcessId p = 0; p < plan.n; ++p) {
-      const bool should_live = !idx.crash_at[p] || rec.round < *idx.crash_at[p];
+      const std::optional<Round> crash_at = faults[p].crash_at;
+      const bool should_live = !crash_at || rec.round < *crash_at;
       if (rec.alive[p] != should_live) {
         std::ostringstream os;
         os << "p" << p << (rec.alive[p] ? " alive" : " dead") << " at round "
@@ -113,33 +85,33 @@ void audit_history(const History& h, const TrialPlan& plan,
         add(out, "audit-delay", os.str());
         return;
       }
-      if (idx.crash_at[sr.sender] && sr.sent_round >= *idx.crash_at[sr.sender]) {
+      const FaultPlan& sender = faults[sr.sender];
+      const FaultPlan& dest = faults[sr.dest];
+      if (sender.crash_at && sr.sent_round >= *sender.crash_at) {
         std::ostringstream os;
         os << "p" << sr.sender << " sent at round " << sr.sent_round
-           << " despite crashing at " << *idx.crash_at[sr.sender];
+           << " despite crashing at " << *sender.crash_at;
         add(out, "audit-crash", os.str());
         return;
       }
       switch (sr.fate) {
         case Fate::kDroppedBySender:
-          if (!idx.licensed(idx.send_specs[sr.sender], sr.sent_round,
-                            sr.dest)) {
+          if (!licensed(sender.send_omissions, sr.sent_round, sr.dest)) {
             add(out, "audit-omission",
                 "unlicensed send drop: " + describe_send(sr));
             return;
           }
           break;
         case Fate::kDestCrashed:
-          if (!idx.crash_at[sr.dest] ||
-              sr.delivery_round < *idx.crash_at[sr.dest]) {
+          if (!dest.crash_at || sr.delivery_round < *dest.crash_at) {
             add(out, "audit-crash",
                 "message eaten by non-crash: " + describe_send(sr));
             return;
           }
           break;
         case Fate::kDroppedByReceiver:
-          if (!idx.licensed(idx.receive_specs[sr.dest], sr.delivery_round,
-                            sr.sender)) {
+          if (!licensed(dest.receive_omissions, sr.delivery_round,
+                        sr.sender)) {
             add(out, "audit-omission",
                 "unlicensed receive drop: " + describe_send(sr));
             return;
@@ -164,21 +136,19 @@ void audit_history(const History& h, const TrialPlan& plan,
           return;
         case Fate::kDelivered:
           if (sr.sender != sr.dest &&
-              idx.must_drop(idx.send_specs[sr.sender], sr.sent_round,
-                            sr.dest)) {
+              must_drop(sender.send_omissions, sr.sent_round, sr.dest)) {
             add(out, "audit-omission",
                 "must-drop send delivered: " + describe_send(sr));
             return;
           }
           if (sr.sender != sr.dest &&
-              idx.must_drop(idx.receive_specs[sr.dest], sr.delivery_round,
-                            sr.sender)) {
+              must_drop(dest.receive_omissions, sr.delivery_round,
+                        sr.sender)) {
             add(out, "audit-omission",
                 "must-drop receive delivered: " + describe_send(sr));
             return;
           }
-          if (idx.crash_at[sr.dest] &&
-              sr.delivery_round >= *idx.crash_at[sr.dest]) {
+          if (dest.crash_at && sr.delivery_round >= *dest.crash_at) {
             add(out, "audit-crash",
                 "delivered to crashed dest: " + describe_send(sr));
             return;
@@ -194,7 +164,7 @@ void audit_history(const History& h, const TrialPlan& plan,
 
   const std::vector<bool> faulty = h.faulty();
   for (ProcessId p = 0; p < plan.n; ++p) {
-    if (faulty[p] && !idx.has_spec[p]) {
+    if (faulty[p] && faults[p].empty()) {
       std::ostringstream os;
       os << "p" << p << " manifested a fault but has no plan entry";
       add(out, "audit-faulty", os.str());
