@@ -26,9 +26,7 @@ void dump_history(std::ostream& os, const History& h, DumpOptions options) {
                        : h.length();
   os << "round |";
   for (int p = 0; p < h.n; ++p) os << "      c_" << p << " |";
-  if (options.show_coterie) os << " coterie";
-  if (options.show_faulty) os << " | faulty";
-  os << "\n";
+  os << " coterie | faulty\n";
 
   for (Round r = std::max<Round>(options.from_round, 1); r <= to; ++r) {
     const RoundRecord& rec = h.at(r);
@@ -44,21 +42,15 @@ void dump_history(std::ostream& os, const History& h, DumpOptions options) {
         os << "        ? |";
       }
     }
-    if (options.show_coterie) {
-      os << " {";
-      for (int p = 0; p < h.n; ++p) {
-        if (rec.coterie[p]) os << p;
-      }
-      os << "}";
+    os << " {";
+    for (int p = 0; p < h.n; ++p) {
+      if (rec.coterie[p]) os << p;
     }
-    if (options.show_faulty) {
-      os << " | {";
-      for (int p = 0; p < h.n; ++p) {
-        if (rec.faulty_by_now[p]) os << p;
-      }
-      os << "}";
+    os << "} | {";
+    for (int p = 0; p < h.n; ++p) {
+      if (rec.faulty_by_now[p]) os << p;
     }
-    os << "\n";
+    os << "}\n";
     if (options.show_suspects && !rec.suspects.empty()) {
       os << "        suspects:";
       for (int p = 0; p < h.n && p < static_cast<int>(rec.suspects.size());

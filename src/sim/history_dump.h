@@ -13,8 +13,6 @@ namespace ftss {
 struct DumpOptions {
   Round from_round = 1;
   Round to_round = 0;        // 0 = end of history
-  bool show_coterie = true;
-  bool show_faulty = true;
   bool show_sends = false;   // per-message lines (verbose): fate + cause,
                              // with "(sent @r, delay k)" for jittered ones
   bool show_suspects = false;  // per-process §2.4 suspect sets (Π⁺ runs;

@@ -291,6 +291,8 @@ void KvService::scan_logs(Time now) {
 }
 
 void KvService::apply_decided(Time now) {
+  // Holes this far behind max-decided are skipped.
+  constexpr std::int64_t kSkipGap = 8;
   for (int p = 0; p < config_.n; ++p) {
     if (sim_->crashed(p)) continue;
     Replica& rs = replicas_[p];
@@ -318,11 +320,11 @@ void KvService::apply_decided(Time now) {
       }
       if (it->first > rs.applied_through) {
         // A hole.  Only skip once the decided log has left it behind by
-        // skip_gap (it is then overwhelmingly a corrupted-era orphan whose
+        // kSkipGap (it is then overwhelmingly a corrupted-era orphan whose
         // commands reclaim() re-proposes).  JUMP straight to the next
         // pending instance: a corrupted counter can sit at 10^15 and
         // stepping one-by-one would never terminate.
-        if (max_decided_ >= rs.applied_through + config_.skip_gap) {
+        if (max_decided_ >= rs.applied_through + kSkipGap) {
           rs.instances_skipped += it->first - rs.applied_through;
           rs.applied_through = it->first;
         } else {
@@ -389,7 +391,9 @@ void KvService::pump(Time now) {
   scan_logs(now);
   apply_decided(now);
   plane_->set_applied_floor(applied_floor());
-  if (max_decided_ >= 0) plane_->reclaim(max_decided_, config_.reclaim_gap);
+  // Undecided assignments this far behind max-decided are re-proposed.
+  constexpr std::int64_t kReclaimGap = 4;
+  if (max_decided_ >= 0) plane_->reclaim(max_decided_, kReclaimGap);
   issue_client_ops(now);
   metrics_.gauge_max("svc_queue_depth_peak", plane_->pending_depth());
   // Runahead of command-carrying instances over the applied floor: this is

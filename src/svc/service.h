@@ -15,7 +15,7 @@
 // The pump (every `pump_interval` sim-time units) drains newly decided
 // instances from the replica logs, applies them in instance order to each
 // replica's KvStore (skipping holes the corrupted era left behind once the
-// log has passed them by `skip_gap`), completes client requests (request
+// log has passed them by 8 instances), completes client requests (request
 // latency = apply time − submit time, recorded in a deterministic sim-time
 // histogram), reclaims orphaned batches for retransmission, serves read
 // leases off applied state, and lets due clients issue their next command.
@@ -99,9 +99,6 @@ struct SvcConfig {
   // Request plane.
   int batch = 64;                   // commands per consensus instance
   std::int64_t pipeline_depth = 32; // instances the log may lead application
-  std::int64_t reclaim_gap = 4;     // undecided assignments this far behind
-                                    // max-decided are re-proposed
-  std::int64_t skip_gap = 8;        // holes this stale are skipped by apply
 
   // Client population (closed loop: one outstanding op per client).
   std::int64_t clients = 1000;
