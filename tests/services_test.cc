@@ -18,8 +18,10 @@
 #include <map>
 
 #include "conform/batching.h"
+#include "consensus/harness.h"
 #include "svc/service.h"
 #include "test_util.h"
+#include "util/fnv.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -98,6 +100,58 @@ TEST(SvcGolden, BatchingSweepFingerprintPinnedAndThreadInvariant) {
   EXPECT_EQ(serial.fingerprint, 0xbd25aafd136824e5ULL)
       << "batching sweep fingerprint drifted: 0x" << std::hex
       << serial.fingerprint;
+}
+
+// The svc-faults benchmark cell: batch 1, so every write is its own
+// consensus instance, under EXP21a's corruption wave plus a crash.
+SvcConfig decision_log_config(std::uint64_t seed) {
+  SvcConfig config;
+  config.n = 5;
+  config.seed = seed;
+  config.batch = 1;
+  config.clients = 100;
+  config.max_ops_per_client = 5;
+  config.read_permille = 200;
+  config.horizon = 20000;
+  config.drain_cap = 30000;
+  config.plan = svc::corruption_wave(config.n, 7000, /*seed=*/79);
+  config.plan.crashes.push_back({4, 12000});
+  return config;
+}
+
+// Every replica's decision log (instance, value hash, decision time, local
+// or learned) in log order, plus the simulator's message counters.  The
+// report fingerprint folds client-visible outcomes; this pins when each
+// replica decided what, which a reordering of same-time deliveries moves.
+std::uint64_t decision_log_fingerprint(const KvService& service, int n) {
+  std::uint64_t fp = kFnv1aBasis;
+  for (ProcessId p = 0; p < n; ++p) {
+    const std::vector<AsyncDecision>& log =
+        repeated_view(service.sim(), p)->decisions();
+    fp = fnv1a_u64(fp, log.size());
+    for (const AsyncDecision& d : log) {
+      fp = fnv1a_u64(fp, static_cast<std::uint64_t>(d.instance));
+      fp = fnv1a_u64(fp, d.value.hash());
+      fp = fnv1a_u64(fp, static_cast<std::uint64_t>(d.at_time));
+      fp = fnv1a_u64(fp, d.decided_locally ? 1 : 0);
+    }
+  }
+  fp = fnv1a_u64(fp, static_cast<std::uint64_t>(service.sim().messages_sent()));
+  return fnv1a_u64(
+      fp, static_cast<std::uint64_t>(service.sim().messages_delivered()));
+}
+
+TEST(SvcGolden, DecisionLogsPinned) {
+  const std::uint64_t want[] = {0x39a5abb748cc27d4, 0x51bf6505188e9d33};
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    SvcConfig config = decision_log_config(seed);
+    const int n = config.n;
+    KvService service(std::move(config));
+    service.run();
+    const std::uint64_t got = decision_log_fingerprint(service, n);
+    EXPECT_EQ(got, want[seed - 1])
+        << "seed " << seed << " decision logs drifted: 0x" << std::hex << got;
+  }
 }
 
 // --- convergence and the bounded corrupted prefix ---------------------------
