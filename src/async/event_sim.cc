@@ -31,9 +31,31 @@ class EventSimulator::ContextImpl : public AsyncContext {
   ProcessId self_;
 };
 
+namespace {
+
+// The timing rules on AsyncConfig: a tick interval of 0 divides by zero when
+// the first ticks are staggered, and a delay range with lo > hi (or below 0)
+// would deliver out of order or in the past.
+const AsyncConfig& checked(const AsyncConfig& config) {
+  if (config.tick_interval < 1) {
+    throw std::invalid_argument("AsyncConfig: tick_interval must be >= 1");
+  }
+  if (config.min_delay < 0 || config.min_delay > config.max_delay) {
+    throw std::invalid_argument(
+        "AsyncConfig: need 0 <= min_delay <= max_delay");
+  }
+  if (config.gst > 0 && config.min_delay > config.max_delay_pre_gst) {
+    throw std::invalid_argument(
+        "AsyncConfig: need min_delay <= max_delay_pre_gst when gst > 0");
+  }
+  return config;
+}
+
+}  // namespace
+
 EventSimulator::EventSimulator(
     AsyncConfig config, std::vector<std::unique_ptr<AsyncProcess>> processes)
-    : config_(config),
+    : config_(checked(config)),
       rng_(config.seed),
       processes_(std::move(processes)),
       skip_start_(processes_.size(), false),
@@ -68,17 +90,34 @@ std::vector<bool> EventSimulator::crashed_by_now() const {
 
 void EventSimulator::enqueue_message(ProcessId from, ProcessId to,
                                      Value payload) {
-  ++messages_sent_;
   Time delay;
   if (delay_policy_) {
     delay = delay_policy_(from, to, now_);
+    if (delay < 0) {
+      throw std::logic_error("EventSimulator: negative policy delay");
+    }
   } else {
     const Time max_delay =
         now_ < config_.gst ? config_.max_delay_pre_gst : config_.max_delay;
     delay = rng_.uniform(config_.min_delay, max_delay);
   }
-  queue_.push(Event{now_ + delay, next_seq_++, Event::Kind::kMessage, to, from,
-                    std::move(payload)});
+  ++messages_sent_;
+  push(now_ + delay, Event{Event::Kind::kMessage, to, from, std::move(payload)});
+}
+
+void EventSimulator::push(Time at, Event ev) {
+  auto it = queue_.lower_bound(at);
+  if (it == queue_.end() || it->first != at) {
+    if (spare_.empty()) {
+      it = queue_.emplace_hint(it, at, std::vector<Event>());
+    } else {
+      spare_.back().key() = at;
+      it = queue_.insert(it, std::move(spare_.back()));
+      spare_.pop_back();
+    }
+  }
+  it->second.push_back(std::move(ev));
+  ++pending_;
 }
 
 void EventSimulator::ensure_started() {
@@ -90,31 +129,43 @@ void EventSimulator::ensure_started() {
       processes_[p]->on_start(ctx);
     }
     // First tick staggered per process for determinism without lock-step.
-    queue_.push(Event{config_.tick_interval + p % config_.tick_interval,
-                      next_seq_++, Event::Kind::kTick, p, p, Value()});
+    push(config_.tick_interval + p % config_.tick_interval,
+         Event{Event::Kind::kTick, p, p, Value()});
   }
 }
 
 void EventSimulator::run_until(Time until) {
   ensure_started();
-  while (!queue_.empty() && queue_.top().time <= until) {
-    Event ev = queue_.top();
-    queue_.pop();
-    now_ = ev.time;
-    if (crash_at_[ev.target] && now_ >= *crash_at_[ev.target]) {
-      continue;  // crashed processes receive nothing and never tick again
+  while (!queue_.empty() && queue_.begin()->first <= until) {
+    const auto bucket = queue_.begin();
+    now_ = bucket->first;
+    // Handlers may append to this bucket (a delay-0 send), so walk it by
+    // index; front_next_ keeps the place if a handler throws.
+    while (front_next_ < bucket->second.size()) {
+      Event ev = std::move(bucket->second[front_next_++]);
+      --pending_;
+      dispatch(ev);
     }
-    ContextImpl ctx(this, ev.target);
-    if (ev.kind == Event::Kind::kTick) {
-      processes_[ev.target]->on_tick(ctx);
-      queue_.push(Event{now_ + config_.tick_interval, next_seq_++,
-                        Event::Kind::kTick, ev.target, ev.target, Value()});
-    } else {
-      ++messages_delivered_;
-      processes_[ev.target]->on_message(ctx, ev.from, ev.payload);
-    }
+    bucket->second.clear();
+    spare_.push_back(queue_.extract(bucket));
+    front_next_ = 0;
   }
   now_ = until;
+}
+
+void EventSimulator::dispatch(const Event& ev) {
+  if (crash_at_[ev.target] && now_ >= *crash_at_[ev.target]) {
+    return;  // crashed processes receive nothing and never tick again
+  }
+  ContextImpl ctx(this, ev.target);
+  if (ev.kind == Event::Kind::kTick) {
+    processes_[ev.target]->on_tick(ctx);
+    push(now_ + config_.tick_interval,
+         Event{Event::Kind::kTick, ev.target, ev.target, Value()});
+  } else {
+    ++messages_delivered_;
+    processes_[ev.target]->on_message(ctx, ev.from, ev.payload);
+  }
 }
 
 }  // namespace ftss

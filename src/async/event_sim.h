@@ -9,8 +9,12 @@
 // initial states, optionally skipping protocol initialization to model a
 // system that "commences execution" mid-flight).
 //
-// Determinism: every run is a pure function of the config seed; events are
-// ordered by (time, sequence number).
+// Determinism: every run is a pure function of the config seed; events
+// dispatch in (due time, send order).  The queue keeps one FIFO bucket per
+// due time: a send appends to its bucket, and dispatch walks the earliest
+// bucket by index and moves each event out, so a delay-0 send made by a
+// handler lands at the end of the bucket being walked.  That needs nothing
+// to fall due before now, hence the timing rules on AsyncConfig.
 //
 // Ticks: each live process receives an unconditional periodic on_tick.  This
 // models the "when true:" guarded commands of Figure 4 — a self-stabilizing
@@ -21,9 +25,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "sim/types.h"
@@ -69,6 +73,9 @@ struct AsyncConfig {
 
   // Message delay model: uniform in [min_delay, max_delay_pre_gst] for
   // messages sent before gst, uniform in [min_delay, max_delay] afterwards.
+  // The simulator's constructor throws std::invalid_argument unless
+  // tick_interval >= 1, 0 <= min_delay <= max_delay, and (when gst > 0)
+  // min_delay <= max_delay_pre_gst.
   Time min_delay = 1;
   Time max_delay = 20;
   Time max_delay_pre_gst = 200;
@@ -94,7 +101,8 @@ class EventSimulator {
   // policy(from, to, now) instead of a random draw (and the RNG is not
   // consumed).  Used by harnesses — notably the conformance lock-step
   // driver — that need exact, externally-resolved delivery times.  Must be
-  // set before the first run_until.
+  // set before the first run_until.  A negative delay would deliver in the
+  // past: the send throws std::logic_error.
   using DelayPolicy = std::function<Time(ProcessId from, ProcessId to, Time now)>;
   void set_delay_policy(DelayPolicy policy);
 
@@ -112,27 +120,22 @@ class EventSimulator {
   std::int64_t messages_delivered() const { return messages_delivered_; }
   // Events (messages + ticks) still queued — after run_until(T) these are
   // the in-flight messages scheduled past T plus the pending ticks.
-  std::size_t pending_events() const { return queue_.size(); }
+  std::size_t pending_events() const { return pending_; }
 
  private:
   struct Event {
-    Time time = 0;
-    std::int64_t seq = 0;  // FIFO tie-break for determinism
     enum class Kind { kMessage, kTick } kind = Kind::kMessage;
     ProcessId target = -1;
     ProcessId from = -1;
     Value payload;
-  };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-    }
   };
 
   class ContextImpl;
 
   void ensure_started();
   void enqueue_message(ProcessId from, ProcessId to, Value payload);
+  void push(Time at, Event ev);
+  void dispatch(const Event& ev);
 
   AsyncConfig config_;
   Rng rng_;
@@ -140,9 +143,15 @@ class EventSimulator {
   std::vector<std::unique_ptr<AsyncProcess>> processes_;
   std::vector<bool> skip_start_;
   std::vector<std::optional<Time>> crash_at_;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  // Pending events by due time, each bucket in send order (header comment).
+  using Queue = std::map<Time, std::vector<Event>>;
+  Queue queue_;
+  std::size_t front_next_ = 0;  // next event to dispatch in queue_.begin()
+  // Drained buckets, map node and vector capacity kept for the next due
+  // time (EXPERIMENTS.md EXP25 measured the reuse).
+  std::vector<Queue::node_type> spare_;
+  std::size_t pending_ = 0;
   Time now_ = 0;
-  std::int64_t next_seq_ = 0;
   std::int64_t messages_sent_ = 0;
   std::int64_t messages_delivered_ = 0;
   bool started_ = false;

@@ -20,27 +20,27 @@ void ModuleContext::broadcast(Value body) {
 
 ModuleHost::ModuleHost(std::vector<std::unique_ptr<Module>> modules)
     : modules_(std::move(modules)) {
-  for (std::size_t i = 0; i < modules_.size(); ++i) {
-    for (std::size_t j = i + 1; j < modules_.size(); ++j) {
-      if (modules_[i]->channel() == modules_[j]->channel()) {
-        throw std::logic_error("duplicate module channel: " +
-                               modules_[i]->channel());
+  for (const auto& m : modules_) channels_.push_back(m->channel());
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    for (std::size_t j = i + 1; j < channels_.size(); ++j) {
+      if (channels_[i] == channels_[j]) {
+        throw std::logic_error("duplicate module channel: " + channels_[i]);
       }
     }
   }
 }
 
 void ModuleHost::on_start(AsyncContext& ctx) {
-  for (auto& m : modules_) {
-    ModuleContext mctx(ctx, m->channel());
-    m->on_start(mctx);
+  for (std::size_t i = 0; i < modules_.size(); ++i) {
+    ModuleContext mctx(ctx, channels_[i]);
+    modules_[i]->on_start(mctx);
   }
 }
 
 void ModuleHost::on_tick(AsyncContext& ctx) {
-  for (auto& m : modules_) {
-    ModuleContext mctx(ctx, m->channel());
-    m->on_tick(mctx);
+  for (std::size_t i = 0; i < modules_.size(); ++i) {
+    ModuleContext mctx(ctx, channels_[i]);
+    modules_[i]->on_tick(mctx);
   }
 }
 
@@ -48,10 +48,10 @@ void ModuleHost::on_message(AsyncContext& ctx, ProcessId from,
                             const Value& payload) {
   const Value& channel = payload.at("mod");
   if (!channel.is_string()) return;  // malformed wire data: drop
-  for (auto& m : modules_) {
-    if (m->channel() == channel.as_string()) {
-      ModuleContext mctx(ctx, m->channel());
-      m->on_message(mctx, from, payload.at("body"));
+  for (std::size_t i = 0; i < modules_.size(); ++i) {
+    if (channels_[i] == channel.as_string()) {
+      ModuleContext mctx(ctx, channels_[i]);
+      modules_[i]->on_message(mctx, from, payload.at("body"));
       return;
     }
   }
@@ -59,12 +59,16 @@ void ModuleHost::on_message(AsyncContext& ctx, ProcessId from,
 
 Value ModuleHost::snapshot_state() const {
   Value v;
-  for (const auto& m : modules_) v[m->channel()] = m->snapshot();
+  for (std::size_t i = 0; i < modules_.size(); ++i) {
+    v[channels_[i]] = modules_[i]->snapshot();
+  }
   return v;
 }
 
 void ModuleHost::restore_state(const Value& state) {
-  for (auto& m : modules_) m->restore(state.at(m->channel()));
+  for (std::size_t i = 0; i < modules_.size(); ++i) {
+    modules_[i]->restore(state.at(channels_[i]));
+  }
 }
 
 }  // namespace ftss

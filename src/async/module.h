@@ -40,7 +40,8 @@ class Module {
  public:
   virtual ~Module() = default;
 
-  // Channel name; must be unique within a host.
+  // Channel name; must be unique within a host.  ModuleHost reads it once,
+  // at construction, so it must not change afterwards.
   virtual std::string channel() const = 0;
 
   virtual void on_start(ModuleContext& ctx) { (void)ctx; }
@@ -67,21 +68,24 @@ class ModuleHost : public AsyncProcess {
   // Typed access for checkers/examples (nullptr if absent / wrong type).
   template <typename T>
   T* find(const std::string& channel) {
-    for (auto& m : modules_) {
-      if (m->channel() == channel) return dynamic_cast<T*>(m.get());
+    for (std::size_t i = 0; i < modules_.size(); ++i) {
+      if (channels_[i] == channel) return dynamic_cast<T*>(modules_[i].get());
     }
     return nullptr;
   }
   template <typename T>
   const T* find(const std::string& channel) const {
-    for (const auto& m : modules_) {
-      if (m->channel() == channel) return dynamic_cast<const T*>(m.get());
+    for (std::size_t i = 0; i < modules_.size(); ++i) {
+      if (channels_[i] == channel) {
+        return dynamic_cast<const T*>(modules_[i].get());
+      }
     }
     return nullptr;
   }
 
  private:
   std::vector<std::unique_ptr<Module>> modules_;
+  std::vector<std::string> channels_;  // modules_[i]->channel(), read once
 };
 
 }  // namespace ftss

@@ -22,11 +22,10 @@ class RepeatedConsensus::InstanceContext : public AsyncContext {
     outer_.send(to, wrap(std::move(payload)));
   }
   void broadcast(const Value& payload) override {
-    // One wrapped copy per destination keeps delivery identical to a
-    // broadcast at the outer layer.
-    for (ProcessId q = 0; q < outer_.process_count(); ++q) {
-      outer_.send(q, wrap(payload));
-    }
+    // Wrapped once: the outer broadcast enqueues one copy per destination
+    // in id order, the same destinations, order and delay draws as one
+    // send per destination; only the wrapper nodes are shared.
+    outer_.broadcast(wrap(payload));
   }
 
  private:
