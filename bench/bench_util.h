@@ -31,7 +31,8 @@ namespace ftss::bench {
 // perfbench's host_context(): timings taken on different core counts,
 // compilers, build types or AVX2 paths are not comparable.  The build facts
 // arrive as compile definitions (bench/CMakeLists.txt, and
-// perfbench/CMakeLists.txt for ftss_bench).
+// perfbench/CMakeLists.txt for ftss_bench); git_sha names the commit built,
+// which compare_bench.py prints but does not count as a host difference.
 inline Value host_context() {
   Value c;
   c["nproc"] = Value(static_cast<std::int64_t>(
@@ -39,6 +40,7 @@ inline Value host_context() {
   c["compiler"] = Value(FTSS_BENCH_COMPILER);
   c["build_type"] = Value(FTSS_BENCH_BUILD_TYPE);
   c["ftss_avx2"] = Value(static_cast<bool>(FTSS_BENCH_AVX2));
+  c["git_sha"] = Value(FTSS_BENCH_GIT_SHA);
   __builtin_cpu_init();
   c["cpu_avx2"] = Value(__builtin_cpu_supports("avx2") != 0);
   return c;

@@ -33,11 +33,13 @@ grid) to make those removals fail too.  Counters whose name
 marks them as wall-clock (.._ns, .._ns_p50/p99) get the wide time tolerance;
 the tight counter tolerance is reserved for deterministic work counters.
 Each compared file pair prints both documents' "context" (the host and
-build the bench ran on: nproc, compiler, build type, AVX2).  When the two
-differ, or a side predates the context block, every timing row is tagged
-"cross-host": its delta mixes machines, so read it as a hint, not a
-measurement.  The tag changes no verdict, tolerance or exit code, and
---structural ignores the context altogether.
+build the bench ran on: nproc, compiler, build type, AVX2, and the git sha
+built).  When the two differ in anything but the git sha, or a side
+predates the context block, every timing row is tagged "cross-host": its
+delta mixes machines, so read it as a hint, not a measurement.  A fresh
+run is always of another commit than its baseline, so the sha alone never
+makes a row cross-host.  The tag changes no verdict, tolerance or exit
+code, and --structural ignores the context altogether.
 Exit status is 1 if any regression or hard removal was found, else 0.  CI
 wires the perf deltas in as a non-blocking report (shared runners are
 noisy, so a red compare is a prompt to look at the numbers, not a merge
@@ -88,6 +90,13 @@ def load(path):
     return timings, data.get("context")
 
 
+def host_of(context):
+    """The context without git_sha: the commit built is not part of the host."""
+    if context is None:
+        return None
+    return {k: v for k, v in context.items() if k != "git_sha"}
+
+
 def describe_context(context):
     if context is None:
         return "(none recorded)"
@@ -107,7 +116,8 @@ def compare_files(baseline_path, fresh_path, tolerance, all_benchmarks=False,
                   structural=False):
     baseline, baseline_context = load(baseline_path)
     fresh, fresh_context = load(fresh_path)
-    cross_host = baseline_context != fresh_context or baseline_context is None
+    cross_host = (baseline_context is None
+                  or host_of(baseline_context) != host_of(fresh_context))
     rows = []
     new_counters = []
     removed_counters = []
