@@ -135,6 +135,9 @@ void EventSimulator::ensure_started() {
 }
 
 void EventSimulator::run_until(Time until) {
+  if (until < now_) {
+    throw std::logic_error("EventSimulator::run_until: time runs backwards");
+  }
   ensure_started();
   while (!queue_.empty() && queue_.begin()->first <= until) {
     const auto bucket = queue_.begin();

@@ -107,6 +107,8 @@ class EventSimulator {
   void set_delay_policy(DelayPolicy policy);
 
   // Advance simulated time, dispatching all events with time <= until.
+  // Time never runs backwards: `until` below now() throws std::logic_error
+  // (run_until(now()) is a valid no-op step).
   void run_until(Time until);
 
   Time now() const { return now_; }

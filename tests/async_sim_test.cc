@@ -282,6 +282,21 @@ TEST(EventSimulator, NegativePolicyDelayIsRejected) {
   EXPECT_THROW(sim.run_until(10), std::logic_error);
 }
 
+TEST(EventSimulator, RunUntilRejectsThePast) {
+  EventSimulator sim(AsyncConfig{.seed = 1, .tick_interval = 10}, probes(2));
+  sim.schedule_crash(1, 80);
+  sim.run_until(100);
+  ASSERT_TRUE(sim.crashed(1));
+  EXPECT_THROW(sim.run_until(50), std::logic_error);
+  // The rejected step changed nothing: the clock and the crash stand.
+  EXPECT_EQ(sim.now(), 100);
+  EXPECT_TRUE(sim.crashed(1));
+  const std::int64_t ticks = probe(sim, 0).ticks_;
+  sim.run_until(100);  // a zero-length step is valid and dispatches nothing
+  EXPECT_EQ(sim.now(), 100);
+  EXPECT_EQ(probe(sim, 0).ticks_, ticks);
+}
+
 TEST(EventSimulator, CrashedFlipsExactlyAtTheScheduledTime) {
   // Mirror of SyncSimulator::CrashedAccessorAgreesWithTheRoundLoop: the
   // accessor's boundary (now >= crash_at) must match the event loop's drop
