@@ -148,15 +148,29 @@ Value HistogramData::to_value() const {
   return v;
 }
 
+namespace {
+
+// The metric called `name`, value-initialized if absent, and whether it
+// was.  A hit builds no node and copies no name.
+template <typename T>
+std::pair<T&, bool> find_or_insert(MetricMap<T>& map, std::string_view name) {
+  auto it = map.lower_bound(name);
+  if (it != map.end() && it->first == name) return {it->second, false};
+  it = map.emplace_hint(it, std::string(name), T{});
+  return {it->second, true};
+}
+
+}  // namespace
+
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
   for (const auto& [name, v] : other.counters) counters[name] += v;
   for (const auto& [name, v] : other.gauges) {
-    auto [it, inserted] = gauges.emplace(name, v);
-    if (!inserted) it->second = std::max(it->second, v);
+    auto [gauge, inserted] = find_or_insert(gauges, name);
+    gauge = inserted ? v : std::max(gauge, v);
   }
   for (const auto& [name, h] : other.histograms) {
-    auto [it, inserted] = histograms.emplace(name, h);
-    if (!inserted) it->second.merge_from(h);
+    // Merging into a new (empty) histogram copies `h`.
+    find_or_insert(histograms, name).first.merge_from(h);
   }
 }
 
@@ -205,28 +219,31 @@ Value MetricsSnapshot::document() const {
   return doc;
 }
 
-void MetricsRegistry::add(const std::string& name, std::int64_t delta) {
-  snap_.counters[name] += delta;
+void MetricsRegistry::add(std::string_view name, std::int64_t delta) {
+  find_or_insert(snap_.counters, name).first += delta;
 }
 
-void MetricsRegistry::gauge_max(const std::string& name, std::int64_t v) {
-  auto [it, inserted] = snap_.gauges.emplace(name, v);
-  if (!inserted) it->second = std::max(it->second, v);
+void MetricsRegistry::gauge_max(std::string_view name, std::int64_t v) {
+  auto [gauge, inserted] = find_or_insert(snap_.gauges, name);
+  gauge = inserted ? v : std::max(gauge, v);
 }
 
-void MetricsRegistry::observe(const std::string& name, std::int64_t v,
+void MetricsRegistry::observe(std::string_view name, std::int64_t v,
                               const std::vector<std::int64_t>& bounds) {
-  auto [it, inserted] = snap_.histograms.emplace(name, HistogramData{});
-  if (inserted) it->second.bounds = bounds;
-  it->second.observe(v);
+  auto [hist, inserted] = find_or_insert(snap_.histograms, name);
+  if (inserted) hist.bounds = bounds;
+  hist.observe(v);
 }
 
-void MetricsRegistry::observe_nanos(const std::string& name,
-                                    std::int64_t ns) {
-  auto [it, inserted] = snap_.histograms.emplace(name, HistogramData{});
-  if (inserted) it->second.bounds = latency_nanos_bounds();
-  it->second.wall_clock = true;
-  it->second.observe(ns);
+void MetricsRegistry::observe_nanos(std::string_view name, std::int64_t ns) {
+  timing(name).observe(ns);
+}
+
+HistogramData& MetricsRegistry::timing(std::string_view name) {
+  auto [hist, inserted] = find_or_insert(snap_.histograms, name);
+  if (inserted) hist.bounds = latency_nanos_bounds();
+  hist.wall_clock = true;
+  return hist;
 }
 
 void record_history_metrics(const History& h, MetricsRegistry& m) {

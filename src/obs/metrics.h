@@ -25,8 +25,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/history.h"
@@ -82,10 +84,16 @@ struct HistogramData {
   Value to_value() const;
 };
 
+// Metrics by name, in std::less<std::string> order.  The comparator is
+// transparent so a registry call looks a name up from a string_view (a
+// literal at the call site) without building a std::string.
+template <typename T>
+using MetricMap = std::map<std::string, T, std::less<>>;
+
 struct MetricsSnapshot {
-  std::map<std::string, std::int64_t> counters;
-  std::map<std::string, std::int64_t> gauges;
-  std::map<std::string, HistogramData> histograms;
+  MetricMap<std::int64_t> counters;
+  MetricMap<std::int64_t> gauges;
+  MetricMap<HistogramData> histograms;
 
   // Associative + commutative combine (see header comment).  Histograms
   // with mismatched bucket layouts merge via their scalar summary only
@@ -116,18 +124,24 @@ struct MetricsSnapshot {
 };
 
 // Accumulation-side API.  Not thread-safe by design: each worker owns a
-// registry (or builds per-trial snapshots) and snapshots are merged.
+// registry (or builds per-trial snapshots) and snapshots are merged.  Each
+// call looks its name up first and copies it only when the metric is new.
 class MetricsRegistry {
  public:
-  void add(const std::string& name, std::int64_t delta = 1);
+  void add(std::string_view name, std::int64_t delta = 1);
   // Gauge as high-watermark: keeps the max of all observed values.
-  void gauge_max(const std::string& name, std::int64_t v);
+  void gauge_max(std::string_view name, std::int64_t v);
   // First observation fixes the bucket bounds; later calls ignore `bounds`.
-  void observe(const std::string& name, std::int64_t v,
+  void observe(std::string_view name, std::int64_t v,
                const std::vector<std::int64_t>& bounds);
   // Wall-clock observation: kLatencyNanos bounds, histogram flagged
   // wall_clock (so it stays out of the stable fingerprint).
-  void observe_nanos(const std::string& name, std::int64_t ns);
+  void observe_nanos(std::string_view name, std::int64_t ns);
+  // The wall-clock histogram observe_nanos(name, ...) feeds, created empty
+  // if absent.  The reference stays valid for the registry's lifetime, so a
+  // hot loop can time into it (obs/profile.h's ScopedTimer) with no name
+  // lookup per observation.
+  HistogramData& timing(std::string_view name);
 
   const MetricsSnapshot& snapshot() const { return snap_; }
 

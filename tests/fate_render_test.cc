@@ -97,7 +97,7 @@ TEST(FateRendering, HistoryMetricsCountEveryFate) {
   MetricsRegistry m;
   record_history_metrics(all_fates_history(), m);
   EXPECT_EQ(m.snapshot().counters,
-            (std::map<std::string, std::int64_t>{
+            (MetricMap<std::int64_t>{
                 {"coterie_changes", 1},
                 {"msgs_delayed", 1},
                 {"msgs_delivered", 2},
