@@ -1,5 +1,6 @@
 #include "svc/kv.h"
 
+#include <bit>
 #include <vector>
 
 namespace ftss::svc {
@@ -13,19 +14,6 @@ Value Command::encode() const {
     v["seq"] = Value(seq);
   }
   return v;
-}
-
-std::optional<Command> decode_command(const Value& v) {
-  if (!v.is_map()) return std::nullopt;
-  const Value& key = v.at("key");
-  if (!key.is_string()) return std::nullopt;  // the example's garbage skip
-  if (!v.contains("val")) return std::nullopt;
-  Command cmd;
-  cmd.key = key.as_string();
-  cmd.val = v.at("val");
-  cmd.client = v.at("client").int_or(-1);
-  cmd.seq = v.at("seq").int_or(-1);
-  return cmd;
 }
 
 Value encode_batch(const std::vector<Command>& commands) {
@@ -43,50 +31,98 @@ const Value& KvStore::get(std::string_view key) const {
   return it == data_.end() ? null : it->second;
 }
 
-void KvStore::apply_one(const Value& cmd_value, ApplyStats& stats) {
-  const std::optional<Command> cmd = decode_command(cmd_value);
-  if (!cmd) {
-    ++stats.garbage;
-    ++garbage_total_;
-    return;
-  }
-  if (cmd->client >= 0) {
-    auto [it, inserted] = last_seq_.try_emplace(cmd->client, cmd->seq);
-    if (!inserted) {
-      if (cmd->seq <= it->second) {
-        ++stats.deduped;
-        ++deduped_total_;
-        return;
-      }
-      it->second = cmd->seq;
-    }
-  }
-  if (cmd->val.is_null()) {
-    data_.erase(cmd->key);
+KvStore::Batch KvStore::decode_batch(const Value& decision) {
+  Batch batch;
+  const auto decode = [&batch](const Value& cmd) {
+    Batch::Entry& entry = batch.entries.emplace_back();
+    entry.client = cmd.at("client").int_or(-1);
+    entry.seq = cmd.at("seq").int_or(-1);
+    const Value& key = cmd.at("key");
+    if (!key.is_string()) return;  // the example's garbage skip
+    const auto val = cmd.as_map().find("val");
+    if (val == cmd.as_map().end()) return;
+    entry.key = &key.as_string();
+    entry.val = &val->second;
+  };
+  if (decision.is_null()) {
+    batch.empty = true;
+  } else if (decision.is_array()) {
+    const Value::Array& commands = decision.as_array();
+    batch.empty = commands.empty();
+    batch.entries.reserve(commands.size());
+    for (const Value& cmd : commands) decode(cmd);
   } else {
-    data_[cmd->key] = cmd->val;
+    decode(decision);
   }
-  ++stats.applied;
-  ++applied_total_;
+  return batch;
 }
 
-ApplyStats KvStore::apply_decision(const Value& decision) {
+ApplyStats KvStore::apply(const Batch& batch) {
   ApplyStats stats;
-  if (decision.is_null()) {
-    stats.empty = true;
-    return stats;
-  }
-  if (decision.is_array()) {
-    const Value::Array& batch = decision.as_array();
-    if (batch.empty()) {
-      stats.empty = true;
-      return stats;
+  stats.empty = batch.empty;
+  for (const Batch::Entry& entry : batch.entries) {
+    if (entry.key == nullptr) {
+      ++stats.garbage;
+      continue;
     }
-    for (const Value& cmd : batch) apply_one(cmd, stats);
-    return stats;
+    if (entry.client >= 0 && !floor_.admit(entry.client, entry.seq)) {
+      ++stats.deduped;
+      continue;
+    }
+    if (entry.val->is_null()) {
+      data_.erase(*entry.key);
+    } else {
+      data_[*entry.key] = *entry.val;
+    }
+    ++stats.applied;
   }
-  apply_one(decision, stats);
+  applied_total_ += stats.applied;
+  deduped_total_ += stats.deduped;
+  garbage_total_ += stats.garbage;
   return stats;
+}
+
+bool KvStore::SeqFloor::admit(std::int64_t client, std::int64_t seq) {
+  constexpr std::size_t kInitialSlots = 16;
+  if (slots_.empty()) slots_.resize(kInitialSlots);
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(client);; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.client == client) {
+      if (seq <= slot.seq) return false;
+      slot.seq = seq;
+      return true;
+    }
+    if (slot.client < 0) {
+      if ((used_ + 1) * 4 > slots_.size() * 3) {
+        grow();
+        return admit(client, seq);
+      }
+      slot = {client, seq};
+      ++used_;
+      return true;
+    }
+  }
+}
+
+std::size_t KvStore::SeqFloor::home(std::int64_t client) const {
+  // Fibonacci hashing: the top log2(size) bits of id * 2^64/phi, so dense
+  // ids spread and ids that differ only in high bits do not collide.
+  const std::uint64_t h = static_cast<std::uint64_t>(client) *
+                          0x9e3779b97f4a7c15ULL;
+  return static_cast<std::size_t>(h >> (std::countl_zero(slots_.size()) + 1));
+}
+
+void KvStore::SeqFloor::grow() {
+  std::vector<Slot> old(slots_.size() * 2);
+  old.swap(slots_);
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.client < 0) continue;
+    std::size_t i = home(slot.client);
+    while (slots_[i].client >= 0) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
 }
 
 std::uint64_t KvStore::fingerprint() const { return to_value().hash(); }

@@ -4,7 +4,11 @@
 // This is THE decoding path for decided values — the serving layer, the
 // batching-transparency oracle and examples/replicated_kv.cpp all apply
 // decisions through it, so the garbage-command-skip behavior cannot silently
-// diverge between them (tests/services_test.cc pins the grid).
+// diverge between them (tests/services_test.cc pins the grid).  Applying is
+// decode then apply: KvStore::decode_batch reads a decided value once, and
+// KvStore::apply runs the result against one store.  Every replica applies
+// every decided value, so the serving pump decodes each value once and
+// applies the batch to all of them.
 //
 // Decision shapes (what a consensus instance can decide):
 //   * a single command map  — batch size 1, exactly the shape the original
@@ -19,12 +23,13 @@
 // seq is skipped.  This makes the request plane's at-least-once retransmit
 // (instances lost to systemic corruption are re-proposed) safe: re-applying
 // an already-applied command cannot clobber a later write to the same key.
+// The per-client floor is a flat open-addressing table that allocates on the
+// first command carrying a client id and grows with the number of distinct
+// clients, never with the ids' values.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "util/value.h"
@@ -39,11 +44,6 @@ struct Command {
 
   Value encode() const;
 };
-
-// Defensive decode of one command map.  nullopt (garbage) when `v` is not a
-// map, its "key" is not a string, or it has no "val" entry at all.  A null
-// "val" is a valid delete.  Missing/non-int client or seq decode as -1.
-std::optional<Command> decode_command(const Value& v);
 
 // Encode a batch for proposal.  Size 1 encodes the bare command map —
 // byte-identical to the original one-command-per-instance example — and
@@ -60,10 +60,35 @@ struct ApplyStats {
 
 class KvStore {
  public:
-  // Applies one decided value (single command, batch array, empty, or
-  // garbage) in order.  Totals accumulate on the store; the return value
-  // covers only this decision.
-  ApplyStats apply_decision(const Value& decision);
+  // One decided value, decoded: an entry per command, in order.  Entries
+  // point into the decoded value, which must outlive the batch.
+  struct Batch {
+    struct Entry {
+      // Null for garbage: the command is not a map, its "key" is not a
+      // string, or it has no "val" entry at all.  A null "val" is a valid
+      // delete.
+      const std::string* key = nullptr;
+      const Value* val = nullptr;
+      // Read from every entry, garbage included; missing or non-int
+      // decode as -1.
+      std::int64_t client = -1;
+      std::int64_t seq = -1;
+    };
+    std::vector<Entry> entries;
+    bool empty = false;  // null or an empty array: applies nothing
+  };
+
+  // Decodes one decided value (single command, batch array, empty, or
+  // garbage).  Pure: it reads no store.
+  static Batch decode_batch(const Value& decision);
+
+  // Applies a decoded batch in order.  Totals accumulate on the store; the
+  // return value covers only this batch.
+  ApplyStats apply(const Batch& batch);
+  // One decided value, decoded for this store alone.
+  ApplyStats apply_decision(const Value& decision) {
+    return apply(decode_batch(decision));
+  }
 
   const Value::Map& data() const { return data_; }
   std::size_t size() const { return data_.size(); }
@@ -84,12 +109,31 @@ class KvStore {
   }
 
  private:
-  void apply_one(const Value& cmd, ApplyStats& stats);
+  // Per-client dedup floor: each client's last applied seq.  Open
+  // addressing with linear probing, doubled past 3/4 full.  apply() is its
+  // only reader; it is never iterated, fingerprinted or compared.
+  class SeqFloor {
+   public:
+    // True iff `seq` is above `client`'s floor (or the client is new), in
+    // which case it becomes the floor.  `client` must be >= 0.
+    bool admit(std::int64_t client, std::int64_t seq);
+
+   private:
+    // Client ids are >= 0, so -1 marks an empty slot and every seq value
+    // stays a legal floor.
+    struct Slot {
+      std::int64_t client = -1;
+      std::int64_t seq = 0;
+    };
+    std::size_t home(std::int64_t client) const;
+    void grow();
+
+    std::vector<Slot> slots_;  // empty until the first admit; power of two
+    std::size_t used_ = 0;
+  };
 
   Value::Map data_;
-  // Per-client dedup floor.  Hashed: apply_one is its only reader, and it is
-  // never iterated, fingerprinted or compared.
-  std::unordered_map<std::int64_t, std::int64_t> last_seq_;
+  SeqFloor floor_;
   std::int64_t applied_total_ = 0;
   std::int64_t deduped_total_ = 0;
   std::int64_t garbage_total_ = 0;
