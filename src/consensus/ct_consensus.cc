@@ -8,41 +8,46 @@
 namespace ftss {
 
 namespace {
+// The phase messages, laid out as in ct_consensus.h.
 Value est_body(std::int64_t r, const Value& est, std::int64_t ts) {
-  Value b;
-  b["t"] = Value("E");
-  b["r"] = Value(r);
-  b["est"] = est;
-  b["ts"] = Value(ts);
-  return b;
+  return Value::tuple("E", r, est, ts);
 }
 Value cest_body(std::int64_t r, const Value& est) {
-  Value b;
-  b["t"] = Value("C");
-  b["r"] = Value(r);
-  b["est"] = est;
-  return b;
+  return Value::tuple("C", r, est);
 }
 Value reply_body(std::int64_t r, bool ack) {
-  Value b;
-  b["t"] = Value("A");
-  b["r"] = Value(r);
-  b["ok"] = Value(ack);
-  return b;
+  return Value::tuple("A", r, ack);
 }
-Value decide_body(const Value& est) {
-  Value b;
-  b["t"] = Value("D");
-  b["est"] = est;
-  return b;
-}
-Value gossip_body(std::int64_t r) {
-  Value b;
-  b["t"] = Value("R");
-  b["r"] = Value(r);
-  return b;
+Value decide_body(const Value& est) { return Value::tuple("D", est); }
+Value gossip_body(std::int64_t r) { return Value::tuple("R", r); }
+
+// The tag of a well-formed phase message, or 0.  Arity and element types
+// are checked here, so a caller given a nonzero tag reads by position.
+char phase_tag(const Value& body) {
+  if (!body.is_array()) return 0;
+  const Value::Array& m = body.as_array();
+  if (m.empty() || !m[0].is_string() || m[0].as_string().size() != 1) return 0;
+  const char tag = m[0].as_string()[0];
+  switch (tag) {
+    case 'D':
+      return m.size() == 2 ? tag : 0;
+    case 'R':
+      return m.size() == 2 && m[1].is_int() ? tag : 0;
+    case 'C':
+      return m.size() == 3 && m[1].is_int() ? tag : 0;
+    case 'A':
+      return m.size() == 3 && m[1].is_int() && m[2].is_bool() ? tag : 0;
+    case 'E':
+      return m.size() == 4 && m[1].is_int() && m[3].is_int() ? tag : 0;
+    default:
+      return 0;
+  }
 }
 }  // namespace
+
+const Value* CtConsensus::decided_value(const Value& body) {
+  return phase_tag(body) == 'D' ? &body.as_array()[1] : nullptr;
+}
 
 CtConsensus::CtConsensus(ProcessId self, int n, Value input,
                          WeakDetect suspects, StabilizationOptions options)
@@ -222,25 +227,23 @@ void CtConsensus::on_tick(ModuleContext& ctx) {
 
 void CtConsensus::on_message(ModuleContext& ctx, ProcessId from,
                              const Value& body) {
-  const std::string type = body.at("t").string_or("");
-  if (type == "D") {
-    decide(ctx, body.at("est"));
+  const char tag = phase_tag(body);
+  if (tag == 0) return;  // malformed: dropped unread
+  const Value::Array& m = body.as_array();
+  if (tag == 'D') {
+    decide(ctx, m[1]);
     return;
   }
-  const Value& rv = body.at("r");
-  if (!rv.is_int()) return;
-  const std::int64_t r = clamp_round_tag(rv.as_int());
+  const std::int64_t r = clamp_round_tag(m[1].as_int());
   maybe_jump(ctx, r);
-  if (type == "E") {
-    const Value& ts = body.at("ts");
-    handle_est(ctx, from, r, body.at("est"),
-               ts.is_int() ? clamp_round_tag(ts.as_int()) : 0);
-  } else if (type == "C") {
-    handle_cest(ctx, r, body.at("est"));
-  } else if (type == "A") {
-    handle_reply(ctx, from, r, body.at("ok").bool_or(false));
+  if (tag == 'E') {
+    handle_est(ctx, from, r, m[2], clamp_round_tag(m[3].as_int()));
+  } else if (tag == 'C') {
+    handle_cest(ctx, r, m[2]);
+  } else if (tag == 'A') {
+    handle_reply(ctx, from, r, m[2].as_bool());
   }
-  // type "R" (round gossip) needs no handling beyond maybe_jump.
+  // 'R' (round gossip) needs no handling beyond maybe_jump.
 }
 
 Value CtConsensus::snapshot() const {

@@ -34,6 +34,16 @@
 // tolerant Consensus; with both disabled it is the CT91 baseline that EXP6
 // shows deadlocking when started from a corrupted state.
 //
+// Message layouts: every phase message is a positional array headed by a
+// one-letter tag string, decoded by position after its arity and element
+// types are checked (anything else is dropped unread):
+//   ["E", r, est, ts]   P1 estimate to the coordinator
+//   ["C", r, est]       P2 coordinator estimate
+//   ["A", r, ok]        P3 answer: ok is true for ack, false for nack
+//   ["D", est]          decision (reliable broadcast)
+//   ["R", r]            round gossip (gossip_round only)
+// r and ts are integers, ok a bool, est any Value.
+//
 // Caveats (documented in DESIGN.md): from a corrupted initial state the
 // protocol guarantees agreement and termination; validity holds from clean
 // states.  A corrupted *decision flag* is indistinguishable from a completed
@@ -70,6 +80,10 @@ class CtConsensus : public Module {
 
   Value snapshot() const override;
   void restore(const Value& state) override;
+
+  // The decided value a well-formed ["D", est] message carries, else
+  // nullptr.
+  static const Value* decided_value(const Value& body);
 
   bool decided() const { return decided_; }
   const Value& decision() const { return decision_; }

@@ -22,33 +22,32 @@ void GossipStrongFd::on_tick(ModuleContext& ctx) {
       alive_[s] = false;
     }
   }
-  // when true: send (s, num[s], state[s]) to all — batched into one message.
-  Value::Array entries;
-  entries.reserve(n_);
+  // when true: send (s, num[s], state[s]) to all — batched into one message,
+  // the pair for target s at positions 2s and 2s + 1.
+  Value::Array pairs;
+  pairs.reserve(2 * static_cast<std::size_t>(n_));
   for (ProcessId s = 0; s < n_; ++s) {
-    entries.push_back(
-        Value::array({Value(static_cast<std::int64_t>(s)), Value(num_[s]),
-                      Value(alive_[s])}));
+    pairs.emplace_back(num_[s]);
+    pairs.emplace_back(static_cast<bool>(alive_[s]));
   }
-  Value body;
-  body["e"] = Value(std::move(entries));
-  ctx.broadcast(std::move(body));
+  ctx.broadcast(Value(std::move(pairs)));
 }
 
 void GossipStrongFd::on_message(ModuleContext&, ProcessId, const Value& body) {
-  const Value& entries = body.at("e");
-  if (!entries.is_array()) return;
-  for (const auto& entry : entries.as_array()) {
-    if (!entry.is_array() || entry.size() != 3) continue;
-    const auto& e = entry.as_array();
-    if (!e[0].is_int() || !e[1].is_int() || !e[2].is_bool()) continue;
-    const std::int64_t s = e[0].as_int();
-    if (s < 0 || s >= n_) continue;
+  // Exactly n (num, alive) pairs; any other shape is dropped unread, and a
+  // pair of the wrong types is skipped.
+  if (!body.is_array()) return;
+  const Value::Array& pairs = body.as_array();
+  if (pairs.size() != 2 * static_cast<std::size_t>(n_)) return;
+  for (ProcessId s = 0; s < n_; ++s) {
+    const Value& num = pairs[2 * static_cast<std::size_t>(s)];
+    const Value& alive = pairs[2 * static_cast<std::size_t>(s) + 1];
+    if (!num.is_int() || !alive.is_bool()) continue;
     // when deliver (s, n, st): if (n > num[s]) adopt.
-    const std::int64_t n = clamp_round_tag(e[1].as_int());
+    const std::int64_t n = clamp_round_tag(num.as_int());
     if (n > num_[s]) {
       num_[s] = n;
-      alive_[s] = e[2].as_bool();
+      alive_[s] = alive.as_bool();
     }
   }
 }

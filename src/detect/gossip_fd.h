@@ -8,6 +8,10 @@
 //   when true         : send (s, num[s], state[s]) to all
 //   on deliver (s,n,st): if n > num[s] adopt (n, st)
 //
+// Wire layout: one gossip message carries all n pairs as the flat array
+// [num[0], alive[0], num[1], alive[1], ...], 2n elements, the pair for
+// target s at positions 2s and 2s + 1 (num an integer, alive a bool).
+//
 // Unlike Chandra–Toueg's own ◇W→◇S transformation this needs NO
 // initialization: whatever garbage (num, state) pairs execution commences
 // with, the strictly increasing counters of live writers overtake them —

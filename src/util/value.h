@@ -58,6 +58,15 @@ class Value {
   static Value array(std::initializer_list<Value> items) {
     return Value(Array(items));
   }
+  // An array of exactly these items, each moved in (array() copies out of
+  // its initializer_list).  Builds the async stack's positional messages.
+  template <typename... Items>
+  static Value tuple(Items&&... items) {
+    Array a;
+    a.reserve(sizeof...(items));
+    (a.emplace_back(std::forward<Items>(items)), ...);
+    return Value(std::move(a));
+  }
   static Value map(std::initializer_list<Map::value_type> items) {
     return Value(Map(items));
   }
