@@ -20,40 +20,34 @@ Value RequestPlane::proposal(std::int64_t instance) {
     return Value();
   }
 
-  Assignment assignment;
-  while (!queue_.empty() &&
-         static_cast<int>(assignment.commands.size()) < batch_) {
-    assignment.commands.push_back(std::move(queue_.front()));
+  std::vector<Command> commands;
+  while (!queue_.empty() && static_cast<int>(commands.size()) < batch_) {
+    commands.push_back(std::move(queue_.front()));
     queue_.pop_front();
   }
-  Value batch = encode_batch(assignment.commands);
+  Value batch = encode_batch(commands);
   proposals_.emplace(instance, batch);
-  assignments_.emplace(instance, std::move(assignment));
+  assignments_.emplace(instance, std::move(commands));
   return batch;
 }
 
 void RequestPlane::on_decided(std::int64_t instance) {
-  auto it = assignments_.find(instance);
-  if (it != assignments_.end()) it->second.decided = true;
+  assignments_.erase(instance);
 }
 
 std::int64_t RequestPlane::reclaim(std::int64_t max_decided, std::int64_t gap) {
-  std::int64_t requeued = 0;
-  // Walk stale assignments oldest-first so re-queued commands keep their
+  // Take stale assignments oldest-first so re-queued commands keep their
   // original relative order at the front of the queue.
   std::vector<Command> rescued;
-  for (auto& [instance, assignment] : assignments_) {
-    if (instance + gap > max_decided) break;
-    if (assignment.decided || assignment.reclaimed) continue;
-    assignment.reclaimed = true;
-    for (Command& cmd : assignment.commands) {
-      rescued.push_back(cmd);
-      ++requeued;
-    }
+  auto it = assignments_.begin();
+  for (; it != assignments_.end() && it->first + gap <= max_decided; ++it) {
+    for (Command& cmd : it->second) rescued.push_back(std::move(cmd));
   }
-  for (auto it = rescued.rbegin(); it != rescued.rend(); ++it) {
-    queue_.push_front(std::move(*it));
+  assignments_.erase(assignments_.begin(), it);
+  for (auto r = rescued.rbegin(); r != rescued.rend(); ++r) {
+    queue_.push_front(std::move(*r));
   }
+  const auto requeued = static_cast<std::int64_t>(rescued.size());
   retransmitted_ += requeued;
   return requeued;
 }
@@ -64,11 +58,7 @@ const Value* RequestPlane::find_proposal(std::int64_t instance) const {
 }
 
 bool RequestPlane::drained() const {
-  if (!queue_.empty()) return false;
-  for (const auto& [instance, assignment] : assignments_) {
-    if (!assignment.decided && !assignment.reclaimed) return false;
-  }
-  return true;
+  return queue_.empty() && assignments_.empty();
 }
 
 }  // namespace ftss::svc

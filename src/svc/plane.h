@@ -22,9 +22,9 @@
 //    and gets a harmless empty batch, not the clients' queued commands.
 //  * At-least-once retransmit: systemic corruption can yank the whole
 //    system past instance j before j decides, orphaning j's batch, or get
-//    a corrupted-era value decided for j in its place.  An assignment
-//    counts as decided only once some replica logs j's own batch; once the
-//    decided log passes an undecided assignment by `gap` instances,
+//    a corrupted-era value decided for j in its place.  The plane keeps
+//    only open assignments: one leaves when some replica logs j's own
+//    batch, or when the decided log has passed it by `gap` instances and
 //    reclaim() re-queues its commands (in original submission order) for a
 //    future instance.  The KvStore's (client, seq) dedup makes the rare
 //    double-decide harmless.
@@ -53,14 +53,14 @@ class RequestPlane {
 
   // Harness side.
   void set_applied_floor(std::int64_t floor) { applied_floor_ = floor; }
-  // Marks instance k's assignment decided.  Call it only when a replica
-  // logs a value equal to find_proposal(k), whether first or later: a
-  // different value decided for k does not carry k's commands, and marking
-  // k would strand them (reclaim() skips decided assignments).
+  // Closes instance k's assignment: its commands are decided.  Call it
+  // only when a replica logs a value equal to find_proposal(k), whether
+  // first or later: a different value decided for k does not carry k's
+  // commands, and closing k would strand them.
   void on_decided(std::int64_t instance);
-  // Re-queues the commands of undecided assignments the decided log has
-  // passed by more than `gap` instances.  Returns how many commands were
-  // re-queued.
+  // Closes the open assignments the decided log has passed by at least
+  // `gap` instances and re-queues their commands.  Returns how many
+  // commands were re-queued.
   std::int64_t reclaim(std::int64_t max_decided, std::int64_t gap);
 
   // Post-run analysis: the memoized proposal for instance k, or nullptr if
@@ -76,23 +76,20 @@ class RequestPlane {
   std::int64_t proposals_empty_backpressure() const {
     return proposals_empty_backpressure_;
   }
-  // True once every submitted command sits in a decided instance.
+  // True once every submitted command sits in a decided instance: nothing
+  // queued and no assignment open.
   bool drained() const;
 
  private:
-  struct Assignment {
-    std::vector<Command> commands;
-    bool decided = false;
-    bool reclaimed = false;
-  };
-
   int batch_;
   std::int64_t pipeline_depth_;
   std::int64_t applied_floor_ = -1;
 
   std::deque<Command> queue_;
   std::map<std::int64_t, Value> proposals_;        // memoized, by instance
-  std::map<std::int64_t, Assignment> assignments_; // non-empty proposals only
+  // Open assignments: the commands of non-empty proposals not yet decided
+  // or reclaimed, by instance.
+  std::map<std::int64_t, std::vector<Command>> assignments_;
 
   std::int64_t submitted_ = 0;
   std::int64_t retransmitted_ = 0;
