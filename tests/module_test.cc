@@ -91,11 +91,18 @@ TEST(ModuleHost, RestoreRoutesPerChannelAndToleratesGarbage) {
 
 TEST(ModuleHost, MalformedWirePayloadDropped) {
   std::vector<std::unique_ptr<AsyncProcess>> v;
-  // Process 0 sends raw (unwrapped) payloads; process 1 hosts modules.
+  // Process 0 sends raw payloads, none of them a [channel, body] envelope;
+  // process 1 hosts modules.
   class RawSender : public AsyncProcess {
     void on_start(AsyncContext& ctx) override {
       ctx.send(1, Value("raw"));
+      // The map envelope of earlier versions, with a bad and a good channel.
       ctx.send(1, Value::map({{"mod", Value(77)}, {"body", Value(1)}}));
+      ctx.send(1, Value::map({{"mod", Value("a")}, {"body", Value(1)}}));
+      ctx.send(1, Value(Value::Array{}));
+      ctx.send(1, Value::tuple(77, 1));
+      ctx.send(1, Value::tuple("a"));
+      ctx.send(1, Value::tuple("a", 1, 2));
     }
     void on_message(AsyncContext&, ProcessId, const Value&) override {}
     Value snapshot_state() const override { return Value(); }
@@ -106,8 +113,8 @@ TEST(ModuleHost, MalformedWirePayloadDropped) {
   EventSimulator sim(AsyncConfig{}, std::move(v));
   sim.run_until(100);  // must not throw
   auto& host = dynamic_cast<ModuleHost&>(sim.process(1));
-  // Only the host's own start broadcast (self-delivery) arrives; both
-  // malformed payloads from process 0 are dropped.
+  // Only the host's own start broadcast (self-delivery) arrives; every
+  // malformed payload from process 0 is dropped.
   const auto& received = host.find<EchoModule>("a")->received_;
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0].first, 1);
