@@ -9,6 +9,9 @@
 // process stops producing heartbeats and is suspected forever — strong
 // completeness.
 //
+// Wire layout: a heartbeat is the integer 1.  Its arrival is the whole
+// message, so the body is never read and no body is malformed.
+//
 // Self-stabilization: all state (last-heard timestamps, timeouts, suspicion
 // flags) is self-correcting.  Timestamps in the future are clamped to `now`
 // on the next tick; timeouts are clamped into [1, max_timeout], so even
