@@ -5,6 +5,7 @@
 //   ftss_conform --lockstep plan.json       print both legs' fingerprints
 //   ftss_conform --transport plan.json      run the socket transport leg,
 //                                           print fingerprints + wire stats
+//                                           (latency percentiles: stderr)
 //
 // Exit code: 0 iff no oracle diverged on any trial.
 #include <cstdint>
@@ -43,7 +44,8 @@ void usage() {
                "  --lockstep FILE  run only the differential leg, print both\n"
                "                   history fingerprints\n"
                "  --transport FILE run only the socket transport leg, print\n"
-               "                   fingerprints, wire traffic and latency\n"
+               "                   fingerprints and wire traffic (wall-clock\n"
+               "                   latency percentiles go to stderr)\n"
                "  --dump-dir D     where failure artifacts (.flight dumps)\n"
                "                   land (default $FTSS_DUMP_DIR, else \".\");\n"
                "                   decode with ftss_trace --flight\n";
@@ -100,6 +102,7 @@ int transport(const ftss::TrialPlan& plan, const std::string& dump_dir) {
   std::cout << std::dec << std::setfill(' ');
   std::cout << "wire: " << result.frames_sent << " frames, "
             << result.bytes_sent << " bytes\n";
+  // Wall-clock figures differ on every run, so they stay off stdout.
   for (const char* name : {"hub_round_ns", "wire_encode_ns",
                            "wire_decode_ns", "transport_trial_ns"}) {
     const auto it = result.timing.histograms.find(name);
@@ -107,7 +110,7 @@ int transport(const ftss::TrialPlan& plan, const std::string& dump_dir) {
       continue;
     }
     const ftss::HistogramData& h = it->second;
-    std::cout << name << ": n=" << h.count << " p50=" << h.percentile_upper(50)
+    std::cerr << name << ": n=" << h.count << " p50=" << h.percentile_upper(50)
               << " p90=" << h.percentile_upper(90)
               << " p99=" << h.percentile_upper(99) << " max=" << h.max << "\n";
   }
