@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <utility>
+#include <vector>
 
 #include "obs/profile.h"
 
@@ -96,10 +97,6 @@ bool Channel::send_frame(wire::FrameType type, const Value& body) {
     wire::encode_frame(type, body, bytes);
     timer.set_arg(static_cast<std::int64_t>(bytes.size()));
   }
-  return send_bytes(bytes);
-}
-
-bool Channel::send_bytes(const std::vector<std::uint8_t>& bytes) {
   if (fd_ < 0 || !write_all(bytes.data(), bytes.size())) return false;
   ++frames_sent;
   return true;

@@ -7,15 +7,16 @@
 // on the execution path — which is the point of the leg.  The channel layer
 // is deliberately dumb: blocking I/O with EINTR retry, no buffering beyond
 // the kernel's, and typed decode errors surfaced to the caller instead of
-// being handled here.  Stream integrity is the frame layer's job; a decode
-// error on a *channel* read means the peer (or this harness) is broken, not
-// that the adversary corrupted a payload — injected corruption always rides
-// inside an intact kDeliver envelope.
+// being handled here.  Every frame goes out through send_frame, so its
+// encode time is on the channel's encode_ns histogram.  Stream integrity is
+// the frame layer's job; a decode error on a *channel* read means the peer
+// (or this harness) is broken, not that the adversary corrupted a payload —
+// injected corruption always rides inside an intact kDeliver frame, as the
+// bytes of one delivery's inner kMessage frame.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "wire/frame.h"
@@ -42,9 +43,6 @@ class Channel {
 
   // Encodes and writes one whole frame.  False on any write error.
   bool send_frame(wire::FrameType type, const Value& body);
-  // Writes pre-encoded frame bytes (used to resend an already-built frame,
-  // e.g. the duplicate-delivery corruption hook).
-  bool send_bytes(const std::vector<std::uint8_t>& bytes);
 
   struct RecvResult {
     // kOk with eof=false on success; eof=true when the peer closed the

@@ -52,10 +52,8 @@ std::optional<Round> reported_clock(const Value& report) {
 void process_main(Channel ch, SyncProcess* proc, std::string* error) {
   int n = 0;
   ProcessId self = -1;
-  bool started = false;
+  Round round = 0;  // 0 until the first kRoundBegin
   std::vector<Message> inbox;
-  Value::Array ok;
-  Value::Array bad;  // [id, wire error code] pairs
 
   const auto fail = [&](const std::string& why) {
     *error = why;
@@ -64,7 +62,7 @@ void process_main(Channel ch, SyncProcess* proc, std::string* error) {
   // Closes the previous round: its buffered deliveries, sorted by sender
   // as the sync inbox is.
   const auto end_round = [&] {
-    if (!started || proc->halted()) return;
+    if (round == 0 || proc->halted()) return;
     std::stable_sort(inbox.begin(), inbox.end(),
                      [](const Message& x, const Message& y) {
                        return x.sender < y.sender;
@@ -92,71 +90,66 @@ void process_main(Channel ch, SyncProcess* proc, std::string* error) {
         break;
       }
       case FrameType::kRoundBegin: {
-        const Round round = body.at("r").int_or(0);
         end_round();  // the begin of round r first closes round r-1
         inbox.clear();
-        started = true;
-        if (!ch.send_frame(FrameType::kSnapshot,
-                           state_report(*proc, round, true))) {
-          return fail("send snapshot");
-        }
-        std::int64_t count = 0;
+        round = body.at("r").int_or(0);
+        // The start-of-round snapshot, taken before begin_round, carries
+        // the round's sends as [dest, body] pairs.
+        Value snapshot = state_report(*proc, round, true);
+        Value::Array sends;
         if (!proc->halted()) {
           std::vector<Message> outgoing;
           CollectOutbox out(self, n, &outgoing);
           proc->begin_round(out);
           for (Message& m : outgoing) {
-            Value mb;
-            mb["s"] = Value(self);
-            mb["d"] = Value(m.dest);
-            mb["r"] = Value(round);
-            mb["b"] = std::move(m.payload);
-            if (!ch.send_frame(FrameType::kMessage, mb)) {
-              return fail("send message");
-            }
-            ++count;
+            sends.push_back(Value::tuple(Value(m.dest), std::move(m.payload)));
           }
         }
-        Value done;
-        done["r"] = Value(round);
-        done["count"] = Value(count);
-        if (!ch.send_frame(FrameType::kSendDone, done)) {
-          return fail("send done");
+        snapshot["sends"] = Value(std::move(sends));
+        if (!ch.send_frame(FrameType::kSnapshot, snapshot)) {
+          return fail("send snapshot");
         }
         break;
       }
       case FrameType::kDeliver: {
-        const std::int64_t id = body.at("id").int_or(-1);
-        const std::string& bytes = body.at("f").as_string();
-        const wire::FrameDecodeResult inner = wire::decode_frame_exact(
-            reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size());
-        WireError reject = inner.error;
-        if (reject == WireError::kOk &&
-            (inner.frame.type != FrameType::kMessage ||
-             inner.frame.body.at("d").int_or(-1) != self ||
-             inner.frame.body.at("s").int_or(-1) < 0 ||
-             inner.frame.body.at("s").int_or(-1) >= n)) {
-          // Structurally valid but not a message addressed to us.
-          reject = WireError::kBadFrameType;
+        // The round's deliveries as [id, inner kMessage frame bytes] pairs,
+        // each inner frame decoded on its own; the inbox status answers.
+        if (!body.is_array()) return fail("deliver: not a list of pairs");
+        Value::Array ok;
+        Value::Array bad;  // [id, wire error code] pairs
+        for (const Value& pair : body.as_array()) {
+          if (!pair.is_array() || pair.size() != 2 ||
+              !pair.as_array()[1].is_string()) {
+            return fail("deliver: malformed pair");
+          }
+          const std::int64_t id = pair.as_array()[0].int_or(-1);
+          const std::string& bytes = pair.as_array()[1].as_string();
+          const wire::FrameDecodeResult inner = wire::decode_frame_exact(
+              reinterpret_cast<const std::uint8_t*>(bytes.data()),
+              bytes.size());
+          WireError reject = inner.error;
+          if (reject == WireError::kOk &&
+              (inner.frame.type != FrameType::kMessage ||
+               inner.frame.body.at("d").int_or(-1) != self ||
+               inner.frame.body.at("s").int_or(-1) < 0 ||
+               inner.frame.body.at("s").int_or(-1) >= n)) {
+            // Structurally valid but not a message addressed to us.
+            reject = WireError::kBadFrameType;
+          }
+          if (reject != WireError::kOk) {
+            bad.push_back(Value::array(
+                {Value(id), Value(static_cast<std::int64_t>(reject))}));
+          } else {
+            inbox.push_back(Message{
+                static_cast<ProcessId>(inner.frame.body.at("s").as_int()),
+                self, inner.frame.body.at("b")});
+            ok.push_back(Value(id));
+          }
         }
-        if (reject != WireError::kOk) {
-          bad.push_back(Value::array(
-              {Value(id), Value(static_cast<std::int64_t>(reject))}));
-        } else {
-          inbox.push_back(
-              Message{static_cast<ProcessId>(inner.frame.body.at("s").as_int()),
-                      self, inner.frame.body.at("b")});
-          ok.push_back(Value(id));
-        }
-        break;
-      }
-      case FrameType::kRoundEnd: {
         Value status;
-        status["r"] = body.at("r");
+        status["r"] = Value(round);
         status["ok"] = Value(std::move(ok));
         status["bad"] = Value(std::move(bad));
-        ok = Value::Array();
-        bad = Value::Array();
         if (!ch.send_frame(FrameType::kInboxStatus, status)) {
           return fail("send inbox status");
         }
@@ -213,8 +206,8 @@ class TransportDriver {
   bool send_shutdown(ProcessId p, bool end_of_run);
   bool run_rounds();
   bool read_round_reports(Round r);
-  void handle_send(Round r, ProcessId sender, const Value& mb);
-  bool ship_deliveries(Round r, std::vector<std::int64_t>& counts);
+  void handle_send(Round r, ProcessId sender, const Value& send);
+  bool ship_deliveries(Round r);
   bool read_inbox_statuses(Round r);
   void resolve_bad(ProcessId dest, Round r, std::int64_t id,
                    std::int64_t code);
@@ -245,30 +238,33 @@ bool TransportDriver::send_shutdown(ProcessId p, bool end_of_run) {
   return slot.ch.send_frame(FrameType::kShutdown, body);
 }
 
-void TransportDriver::handle_send(Round r, ProcessId sender, const Value& mb) {
-  const ProcessId dest = static_cast<ProcessId>(mb.at("d").int_or(-1));
-  if (mb.at("s").int_or(-1) != sender || mb.at("r").int_or(0) != r ||
-      dest < 0 || dest >= n_) {
+// One [dest, body] pair of p's snapshot; the frame implies sender and round.
+void TransportDriver::handle_send(Round r, ProcessId sender,
+                                  const Value& send) {
+  const ProcessId dest =
+      send.is_array() && send.size() == 2
+          ? static_cast<ProcessId>(send.as_array()[0].int_or(-1))
+          : -1;
+  if (dest < 0 || dest >= n_) {
     std::ostringstream os;
     os << "p" << sender << " emitted a malformed send record";
     books_.report("schedule", r, os.str());
     return;
   }
-  books_.send(r, sender, dest, mb.at("b"));
+  books_.send(r, sender, dest, send.as_array()[1]);
 }
 
 bool TransportDriver::read_round_reports(Round r) {
   for (ProcessId p = 0; p < n_; ++p) {
     if (books_.crashed_by(p, r)) continue;
-    ProcSlot& slot = slots_[p];
-    Channel::RecvResult snap = slot.ch.recv_frame();
+    Channel::RecvResult snap = slots_[p].ch.recv_frame();
+    const Value& b = snap.frame.body;
     if (snap.error != WireError::kOk || snap.eof ||
-        snap.frame.type != FrameType::kSnapshot ||
-        snap.frame.body.at("r").int_or(0) != r) {
+        snap.frame.type != FrameType::kSnapshot || b.at("r").int_or(0) != r ||
+        !b.at("sends").is_array()) {
       return unsupported("p" + std::to_string(p) +
                          ": expected snapshot for round " + std::to_string(r));
     }
-    const Value& b = snap.frame.body;
     std::vector<ProcessId> suspects;
     if (b.contains("suspects")) {
       for (const Value& q : b.at("suspects").as_array()) {
@@ -277,25 +273,15 @@ bool TransportDriver::read_round_reports(Round r) {
     }
     books_.observe(r, p, b.at("halted").bool_or(false), b.at("state"),
                    reported_clock(b), std::move(suspects));
-    for (;;) {
-      Channel::RecvResult m = slot.ch.recv_frame();
-      if (m.error != WireError::kOk || m.eof) {
-        return unsupported("p" + std::to_string(p) + ": stream broke in round " +
-                           std::to_string(r));
-      }
-      if (m.frame.type == FrameType::kSendDone) break;
-      if (m.frame.type != FrameType::kMessage) {
-        return unsupported("p" + std::to_string(p) +
-                           ": unexpected frame in send phase");
-      }
-      handle_send(r, p, m.frame.body);
-    }
+    for (const Value& send : b.at("sends").as_array()) handle_send(r, p, send);
   }
   return true;
 }
 
-bool TransportDriver::ship_deliveries(Round r,
-                                      std::vector<std::int64_t>& counts) {
+// Resolves the fates due in round r and ships each live process one
+// kDeliver frame holding all of its deliveries, in id order.
+bool TransportDriver::ship_deliveries(Round r) {
+  std::vector<Value::Array> deliveries(n_);
   const std::span<ReplayBooks::Pending> pendings = books_.pendings();
   for (std::size_t i = 0; i < pendings.size(); ++i) {
     ReplayBooks::Pending& pend = pendings[i];
@@ -340,24 +326,21 @@ bool TransportDriver::ship_deliveries(Round r,
       bytes.resize(bytes.size() / 2);  // CORRUPTION HOOK: truncation
     }
 
-    Value env;
-    env["id"] = Value(static_cast<std::int64_t>(i));
-    env["f"] = Value(std::string(reinterpret_cast<const char*>(bytes.data()),
-                                 bytes.size()));
-    std::vector<std::uint8_t> frame;
-    wire::encode_frame(FrameType::kDeliver, env, frame);
-    if (!slots_[pend.dest].ch.send_bytes(frame)) {
-      return unsupported("p" + std::to_string(pend.dest) +
-                         ": delivery write failed");
-    }
-    ++counts[pend.dest];
+    Value pair = Value::tuple(
+        Value(static_cast<std::int64_t>(i)),
+        Value(std::string(reinterpret_cast<const char*>(bytes.data()),
+                          bytes.size())));
     if (attempt == options_.duplicate_index) {
-      // CORRUPTION HOOK: duplicated frame, byte-identical envelope.
-      if (!slots_[pend.dest].ch.send_bytes(frame)) {
-        return unsupported("p" + std::to_string(pend.dest) +
-                           ": duplicate delivery write failed");
-      }
-      ++counts[pend.dest];
+      // CORRUPTION HOOK: the same pair twice in the round's kDeliver.
+      deliveries[pend.dest].push_back(pair);
+    }
+    deliveries[pend.dest].push_back(std::move(pair));
+  }
+  for (ProcessId p = 0; p < n_; ++p) {
+    if (books_.crashed_by(p, r)) continue;
+    if (!slots_[p].ch.send_frame(FrameType::kDeliver,
+                                 Value(std::move(deliveries[p])))) {
+      return unsupported("p" + std::to_string(p) + ": delivery write failed");
     }
   }
   return true;
@@ -429,17 +412,7 @@ bool TransportDriver::run_rounds() {
       }
     }
     if (!read_round_reports(r)) return false;
-    std::vector<std::int64_t> counts(n_, 0);
-    if (!ship_deliveries(r, counts)) return false;
-    for (ProcessId p = 0; p < n_; ++p) {
-      if (books_.crashed_by(p, r)) continue;
-      Value body;
-      body["r"] = Value(r);
-      body["count"] = Value(counts[p]);
-      if (!slots_[p].ch.send_frame(FrameType::kRoundEnd, body)) {
-        return unsupported("p" + std::to_string(p) + ": round end write");
-      }
-    }
+    if (!ship_deliveries(r)) return false;
     if (!read_inbox_statuses(r)) return false;
     books_.end_round(r, books_.crashed_by(r));
   }

@@ -9,22 +9,31 @@
 // the path.  Each process runs on its own thread behind a Channel; a hub on
 // the calling thread plays network and fault adversary, and feeds what it
 // sees to the external observer both legs share (check/replay_books.h).
-// Per round the hub sends kRoundBegin to every live process, drains each
-// process's kSnapshot / kMessage* / kSendDone responses in process-id order,
-// resolves fates, ships due deliveries as kDeliver envelopes wrapping the
-// inner kMessage frame *bytes*, closes the round with kRoundEnd, and reads
-// back each process's kInboxStatus (which ids decoded, which were rejected
-// with what typed wire error).  All cross-thread ordering is imposed by the
-// hub's fixed read order, so thread scheduling cannot perturb the recorded
-// history: transport histories fingerprint-stably match the sync leg's.
+// A round is the §2 model's one exchange, four frames per live process:
+//   1. hub -> p   kRoundBegin;
+//   2. p -> hub   kSnapshot: p's start-of-round state report, carrying the
+//                 round's sends as [dest, body] pairs (the frame implies
+//                 sender and round);
+//   3. hub -> p   kDeliver: every delivery due to p this round, as [id,
+//                 inner kMessage frame *bytes*] pairs;
+//   4. p -> hub   kInboxStatus: which ids decoded, which were rejected
+//                 with what typed wire error.
+// The hub sends every kRoundBegin, reads the snapshots in process-id order,
+// resolves fates, ships the kDeliver frames and reads the statuses back in
+// process-id order.  Around the rounds, kInit opens the session and
+// kShutdown closes it (answered by kFinal after the last round).  All
+// cross-thread ordering is imposed by the hub's fixed read order, so thread
+// scheduling cannot perturb the recorded history: transport histories
+// fingerprint-stably match the sync leg's.
 //
 // Corruption surface: the hub can deliberately mangle the inner frame of a
 // chosen delivery (bit flip, truncation, payload mutation), duplicate it,
 // drop it, or delay it a round.  Because the mangled bytes ride inside an
-// intact kDeliver envelope, the stream stays framed while the receiver's
-// decode_frame_exact sees exactly the corrupted bytes — rejections come
-// back as typed WireErrors and are recorded as Fate::kFrameCorrupted sends,
-// a fault class the in-memory legs cannot express.
+// intact kDeliver frame, the stream stays framed while the receiver's
+// decode_frame_exact sees exactly the corrupted bytes of that one delivery —
+// rejections come back as typed WireErrors and are recorded as
+// Fate::kFrameCorrupted sends, a fault class the in-memory legs cannot
+// express.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +56,7 @@ struct TransportOptions {
   int flip_bit = 0;          // ...this bit (absolute bit offset in the frame)
   int truncate_index = -1;   // ship only the first half of the inner frame
   int mutate_payload_index = -1;  // re-encode with payload replaced
-  int duplicate_index = -1;  // ship the same kDeliver envelope twice
+  int duplicate_index = -1;  // ship the same [id, frame] pair twice
   int drop_index = -1;       // ship nothing at all
   int delay_index = -1;      // ship one round later than scheduled
 };

@@ -37,17 +37,18 @@ inline constexpr std::size_t kFrameHeaderSize = 20;
 inline constexpr std::uint32_t kMaxFrameBody = 1u << 28;
 
 // Transport-session frame types (the hub <-> process protocol of src/net/).
+// After kInit, a live process's round is four frames: kRoundBegin,
+// kSnapshot, kDeliver, kInboxStatus.
 enum class FrameType : std::uint8_t {
-  kInit = 1,      // hub->proc: {"n", "self", optional "corrupt" state}
+  kInit = 1,      // hub->proc: {"n", "self", "corrupt"?: [state...]}
   kRoundBegin,    // hub->proc: {"r"}
-  kSnapshot,      // proc->hub: {"r", "state", "clock", "halted", "suspects"?}
-  kMessage,       // proc->hub and (re-wrapped) inbox unit: {"s","d","r","b"}
-  kSendDone,      // proc->hub: {"r", "count"}
-  kDeliver,       // hub->proc: {"id", "f": inner kMessage frame bytes}
-  kRoundEnd,      // hub->proc: {"r", "count"}
+  kSnapshot,      // proc->hub: {"r", "state", "clock"?, "halted",
+                  //   "suspects"?, "sends": [[dest, body]...]}
+  kMessage,       // one delivery's inner frame: {"s", "d", "r", "b"}
+  kDeliver,       // hub->proc: [[id, inner kMessage frame bytes]...]
   kInboxStatus,   // proc->hub: {"r", "ok": [ids], "bad": [[id, errcode]...]}
-  kFinal,         // proc->hub: {"state", "clock", "halted"}
-  kShutdown,      // hub->proc: {}
+  kFinal,         // proc->hub: {"state", "clock"?, "halted"}
+  kShutdown,      // hub->proc: {"end"}: 1 after the last round, 0 on a crash
 };
 inline constexpr std::uint8_t kMaxFrameType =
     static_cast<std::uint8_t>(FrameType::kShutdown);
