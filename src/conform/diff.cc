@@ -266,11 +266,6 @@ History permute_history(const History& h, const std::vector<ProcessId>& perm) {
   return out;
 }
 
-const std::vector<Divergence>& no_divergences() {
-  static const std::vector<Divergence> kNone;
-  return kNone;
-}
-
 std::string describe(const Divergence& d) {
   std::ostringstream os;
   os << d.kind << "@" << d.round << ": " << d.detail;

@@ -50,8 +50,6 @@ TrialPlan permute_plan(const TrialPlan& plan,
                        const std::vector<ProcessId>& perm);
 History permute_history(const History& h, const std::vector<ProcessId>& perm);
 
-const std::vector<Divergence>& no_divergences();
-
 // One-line rendering for reports: "kind@round: detail".
 std::string describe(const Divergence& d);
 

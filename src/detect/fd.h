@@ -12,7 +12,6 @@
 #pragma once
 
 #include <functional>
-#include <vector>
 
 #include "sim/types.h"
 
@@ -22,12 +21,6 @@ class FailureDetector {
  public:
   virtual ~FailureDetector() = default;
   virtual bool suspects(ProcessId s) const = 0;
-
-  std::vector<bool> suspicion_vector(int n) const {
-    std::vector<bool> v(n);
-    for (ProcessId s = 0; s < n; ++s) v[s] = suspects(s);
-    return v;
-  }
 };
 
 // The detect(s) predicate handed to the Figure 4 transformation.

@@ -163,11 +163,6 @@ void FlightRecorder::set_ring_capacity(std::size_t capacity) {
   capacity_ = std::max<std::size_t>(capacity, 2);
 }
 
-std::size_t FlightRecorder::ring_capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
-}
-
 void FlightRecorder::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   live_.clear();

@@ -99,7 +99,6 @@ class FlightRecorder {
   // Capacity (in events) of rings created after the call.  Existing rings
   // keep theirs.  Values < 2 are clamped to 2.
   void set_ring_capacity(std::size_t capacity);
-  std::size_t ring_capacity() const;
 
   // Drops every ring (live threads re-register on their next record) and
   // zeroes the retired-ring eviction counter.  Test hook.
