@@ -222,14 +222,12 @@ TrialPlan sample_trial(const AdversaryConfig& config, WeakenedKind weakened,
 }
 
 std::uint64_t trial_seed_for(std::uint64_t run_seed, int index) {
-  // splitmix64 step seeded by (run_seed, index); masked to stay positive
-  // through the int64 round-trip in plan serialization.
-  std::uint64_t z = run_seed + 0x9e3779b97f4a7c15ULL *
-                                   (static_cast<std::uint64_t>(index) + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z = z ^ (z >> 31);
-  z &= 0x7fffffffffffffffULL;
+  // The index-th (0-based) splitmix64 output from state run_seed; masked to
+  // stay positive through the int64 round-trip in plan serialization.
+  const std::uint64_t z =
+      splitmix64(run_seed +
+                 kSplitmixGamma * static_cast<std::uint64_t>(index)) &
+      0x7fffffffffffffffULL;
   return z == 0 ? 1 : z;
 }
 

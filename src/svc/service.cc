@@ -6,25 +6,20 @@
 
 #include "obs/profile.h"
 #include "sim/corrupt.h"
+#include "util/rng.h"
 
 namespace ftss::svc {
 
 namespace {
 
-// splitmix64: the per-(client, seq) op generator.  A full Rng per client
-// would cost ~2.5KB each (mt19937_64) — unaffordable at 10^6 clients — and
-// closed-loop completion order must not perturb other clients' draws, so
-// every op is an independent hash of (service seed, client, seq).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
+// The per-(client, seq) op generator.  A full Rng per client would cost
+// ~2.5KB each (mt19937_64) — unaffordable at 10^6 clients — and closed-loop
+// completion order must not perturb other clients' draws, so every op is an
+// independent splitmix64 hash of (service seed, client, seq).
 std::uint64_t op_hash(std::uint64_t seed, std::int64_t c, std::int64_t seq) {
-  return mix64(seed ^ mix64(static_cast<std::uint64_t>(c) * 0x100000001b3ULL +
-                            static_cast<std::uint64_t>(seq)));
+  return splitmix64(seed ^ splitmix64(static_cast<std::uint64_t>(c) *
+                                          0x100000001b3ULL +
+                                      static_cast<std::uint64_t>(seq)));
 }
 
 std::uint64_t pack_request(std::int64_t client, std::int64_t seq) {

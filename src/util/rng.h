@@ -13,6 +13,20 @@
 
 namespace ftss {
 
+// splitmix64's increment, the odd integer nearest 2^64 / golden ratio.
+inline constexpr std::uint64_t kSplitmixGamma = 0x9e3779b97f4a7c15ULL;
+
+// One splitmix64 step from state x: its finalizer applied to x + gamma.  A
+// stateless hash for call sites that need one independent draw per key
+// without keeping an Rng; the k-th output from state s is
+// splitmix64(s + (k - 1) * gamma).
+inline std::uint64_t splitmix64(std::uint64_t x) {
+  x += kSplitmixGamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}

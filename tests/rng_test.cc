@@ -108,5 +108,13 @@ TEST(Rng, ForkProducesIndependentStream) {
   EXPECT_LT(same, 10);
 }
 
+// The reference splitmix64 stream from state 0 (Vigna's splitmix64.c):
+// its k-th output is splitmix64((k - 1) * gamma).
+TEST(Splitmix64, MatchesTheReferenceStream) {
+  EXPECT_EQ(splitmix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(splitmix64(kSplitmixGamma), 0x6e789e6aa1b965f4ULL);
+  EXPECT_EQ(splitmix64(2 * kSplitmixGamma), 0x06c45d188009454fULL);
+}
+
 }  // namespace
 }  // namespace ftss
