@@ -1,58 +1,58 @@
 #include "consensus/harness.h"
 
+#include <functional>
 #include <stdexcept>
 
 #include "sim/corrupt.h"
 
 namespace ftss {
 
-std::unique_ptr<EventSimulator> build_consensus_system(
-    const ConsensusSystemConfig& config) {
-  if (static_cast<int>(config.inputs.size()) != config.n) {
-    throw std::invalid_argument("need exactly n inputs");
-  }
+namespace {
+
+// The module a node stacks on its detectors, given the Figure 4 ◇S view.
+using TopModule =
+    std::function<std::unique_ptr<Module>(ProcessId p, WeakDetect suspects)>;
+
+std::unique_ptr<EventSimulator> build_system(
+    const ConsensusSystemConfig& config, const TopModule& top) {
   std::vector<std::unique_ptr<AsyncProcess>> nodes;
   nodes.reserve(config.n);
   for (ProcessId p = 0; p < config.n; ++p) {
-    auto hb = std::make_unique<HeartbeatFd>(p, config.n, config.heartbeat);
+    auto hb = std::make_unique<HeartbeatFd>(p, config.n);
     WeakDetect weak = config.weaken_detector
                           ? weak_view(hb.get(), p, config.n)
                           : full_view(hb.get());
     auto gfd = std::make_unique<GossipStrongFd>(p, config.n, std::move(weak));
-    // Consensus consults the Figure 4 ◇S detector.
-    WeakDetect cons_suspects = full_view(gfd.get());
-    auto cons = std::make_unique<CtConsensus>(
-        p, config.n, config.inputs[p], std::move(cons_suspects),
-        config.stabilization);
+    WeakDetect suspects = full_view(gfd.get());
     std::vector<std::unique_ptr<Module>> modules;
     modules.push_back(std::move(hb));
     modules.push_back(std::move(gfd));
-    modules.push_back(std::move(cons));
+    modules.push_back(top(p, std::move(suspects)));
     nodes.push_back(std::make_unique<ModuleHost>(std::move(modules)));
   }
   return std::make_unique<EventSimulator>(config.async, std::move(nodes));
 }
 
+}  // namespace
+
+std::unique_ptr<EventSimulator> build_consensus_system(
+    const ConsensusSystemConfig& config) {
+  if (static_cast<int>(config.inputs.size()) != config.n) {
+    throw std::invalid_argument("need exactly n inputs");
+  }
+  return build_system(config, [&config](ProcessId p, WeakDetect suspects) {
+    return std::make_unique<CtConsensus>(p, config.n, config.inputs[p],
+                                         std::move(suspects),
+                                         config.stabilization);
+  });
+}
+
 std::unique_ptr<EventSimulator> build_repeated_consensus_system(
     const ConsensusSystemConfig& config, InputSource inputs) {
-  std::vector<std::unique_ptr<AsyncProcess>> nodes;
-  nodes.reserve(config.n);
-  for (ProcessId p = 0; p < config.n; ++p) {
-    auto hb = std::make_unique<HeartbeatFd>(p, config.n, config.heartbeat);
-    WeakDetect weak = config.weaken_detector
-                          ? weak_view(hb.get(), p, config.n)
-                          : full_view(hb.get());
-    auto gfd = std::make_unique<GossipStrongFd>(p, config.n, std::move(weak));
-    WeakDetect cons_suspects = full_view(gfd.get());
-    auto rcons = std::make_unique<RepeatedConsensus>(
-        p, config.n, inputs, std::move(cons_suspects), config.stabilization);
-    std::vector<std::unique_ptr<Module>> modules;
-    modules.push_back(std::move(hb));
-    modules.push_back(std::move(gfd));
-    modules.push_back(std::move(rcons));
-    nodes.push_back(std::make_unique<ModuleHost>(std::move(modules)));
-  }
-  return std::make_unique<EventSimulator>(config.async, std::move(nodes));
+  return build_system(config, [&](ProcessId p, WeakDetect suspects) {
+    return std::make_unique<RepeatedConsensus>(
+        p, config.n, inputs, std::move(suspects), config.stabilization);
+  });
 }
 
 namespace {

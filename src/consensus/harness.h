@@ -24,7 +24,6 @@ namespace ftss {
 struct ConsensusSystemConfig {
   int n = 3;
   AsyncConfig async;
-  HeartbeatFdConfig heartbeat;
   StabilizationOptions stabilization = StabilizationOptions::ftss();
   // Expose the underlying detector to Figure 4 only at the per-target
   // witness (strict ◇W); with false the transformation receives the full
