@@ -11,7 +11,7 @@
 // encode time is on the channel's encode_ns histogram.  Stream integrity is
 // the frame layer's job; a decode error on a *channel* read means the peer
 // (or this harness) is broken, not that the adversary corrupted a payload —
-// injected corruption always rides inside an intact kDeliver frame, as the
+// injected corruption always rides inside an intact kRound frame, as the
 // bytes of one delivery's inner kMessage frame.
 #pragma once
 

@@ -9,19 +9,21 @@
 // the path.  Each process runs on its own thread behind a Channel; a hub on
 // the calling thread plays network and fault adversary, and feeds what it
 // sees to the external observer both legs share (check/replay_books.h).
-// A round is the §2 model's one exchange, four frames per live process:
-//   1. hub -> p   kRoundBegin;
-//   2. p -> hub   kSnapshot: p's start-of-round state report, carrying the
-//                 round's sends as [dest, body] pairs (the frame implies
-//                 sender and round);
-//   3. hub -> p   kDeliver: every delivery due to p this round, as [id,
-//                 inner kMessage frame *bytes*] pairs;
-//   4. p -> hub   kInboxStatus: which ids decoded, which were rejected
-//                 with what typed wire error.
-// The hub sends every kRoundBegin, reads the snapshots in process-id order,
-// resolves fates, ships the kDeliver frames and reads the statuses back in
-// process-id order.  Around the rounds, kInit opens the session and
-// kShutdown closes it (answered by kFinal after the last round).  All
+// A round is the §2 model's one exchange, one frame each way per process:
+//   hub -> p   kRound {r}: the deliveries due to p in round r-1, as [id,
+//              inner kMessage frame *bytes*] pairs (none for r = 1);
+//   p -> hub   kReport {r}: which ids decoded and which were rejected with
+//              what typed wire error, then, after p closes round r-1, its
+//              start-of-round-r state and round r's sends as [dest, body]
+//              pairs (the frame implies sender and round).
+// kInit opens the session.  The hub runs exchanges r = 1 .. rounds+1 with
+// every process alive in round r-1, sending all the kRound frames before
+// reading the reports in process-id order.  It resolves each report's ids
+// as round r-1 fates, closes round r-1, then opens round r with the
+// reports' states and sends and resolves round r's fates into the next
+// exchange's delivery lists.  The kRound of exchange r is flagged "last"
+// when p crashes at round r or r is past the final round; the reply is
+// then p's final report, without sends, and p's thread returns.  All
 // cross-thread ordering is imposed by the hub's fixed read order, so thread
 // scheduling cannot perturb the recorded history: transport histories
 // fingerprint-stably match the sync leg's.
@@ -29,7 +31,7 @@
 // Corruption surface: the hub can deliberately mangle the inner frame of a
 // chosen delivery (bit flip, truncation, payload mutation), duplicate it,
 // drop it, or delay it a round.  Because the mangled bytes ride inside an
-// intact kDeliver frame, the stream stays framed while the receiver's
+// intact kRound frame, the stream stays framed while the receiver's
 // decode_frame_exact sees exactly the corrupted bytes of that one delivery —
 // rejections come back as typed WireErrors and are recorded as
 // Fate::kFrameCorrupted sends, a fault class the in-memory legs cannot
@@ -97,8 +99,9 @@ struct TransportResult {
   std::int64_t bytes_sent = 0;
 
   // Wall-clock phase timing, populated on supported runs: wire_encode_ns /
-  // wire_decode_ns (hub-side channel codec work), hub_round_ns (one
-  // observation per dispatched round), transport_trial_ns (whole leg).
+  // wire_decode_ns (hub-side codec work: every channel frame, plus each
+  // delivery's inner kMessage encode), hub_round_ns (one observation per
+  // dispatched round), transport_trial_ns (whole leg).
   // Every histogram is wall_clock-flagged, so merging this into any
   // aggregate snapshot leaves the stable fingerprint untouched.
   MetricsSnapshot timing;

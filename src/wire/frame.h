@@ -37,24 +37,22 @@ inline constexpr std::size_t kFrameHeaderSize = 20;
 inline constexpr std::uint32_t kMaxFrameBody = 1u << 28;
 
 // Transport-session frame types (the hub <-> process protocol of src/net/).
-// After kInit, a live process's round is four frames: kRoundBegin,
-// kSnapshot, kDeliver, kInboxStatus.
+// After kInit, each round is one exchange per live process: the hub's
+// kRound, answered by the process's kReport.
 enum class FrameType : std::uint8_t {
-  kInit = 1,      // hub->proc: {"n", "self", "corrupt"?: [state...]}
-  kRoundBegin,    // hub->proc: {"r"}
-  kSnapshot,      // proc->hub: {"r", "state", "clock"?, "halted",
-                  //   "suspects"?, "sends": [[dest, body]...]}
-  kMessage,       // one delivery's inner frame: {"s", "d", "r", "b"}
-  kDeliver,       // hub->proc: [[id, inner kMessage frame bytes]...]
-  kInboxStatus,   // proc->hub: {"r", "ok": [ids], "bad": [[id, errcode]...]}
-  kFinal,         // proc->hub: {"state", "clock"?, "halted"}
-  kShutdown,      // hub->proc: {"end"}: 1 after the last round, 0 on a crash
+  kInit = 1,  // hub->proc: {"n", "self", "corrupt"?: [state...]}
+  kRound,     // hub->proc: {"r", "in": [[id, inner kMessage frame bytes]...],
+              //   "last"?}: round r-1's deliveries, opening round r
+  kReport,    // proc->hub: {"r", "ok": [ids], "bad": [[id, errcode]...],
+              //   "state", "clock"?, "halted", "suspects"?,
+              //   "sends"?: [[dest, body]...]}; no sends after "last"
+  kMessage,   // one delivery's inner frame: {"s", "d", "r", "b"}
 };
 inline constexpr std::uint8_t kMaxFrameType =
-    static_cast<std::uint8_t>(FrameType::kShutdown);
+    static_cast<std::uint8_t>(FrameType::kMessage);
 
 struct Frame {
-  FrameType type = FrameType::kShutdown;
+  FrameType type = FrameType::kMessage;
   Value body;
 };
 
@@ -66,7 +64,7 @@ void encode_frame(FrameType type, const Value& body,
 // the body bytes exist.  Performs every check that does not need the body
 // (magic, version, flags, type range, length cap).
 struct FrameHeader {
-  FrameType type = FrameType::kShutdown;
+  FrameType type = FrameType::kMessage;
   std::uint16_t flags = 0;
   std::uint32_t body_len = 0;
   std::uint64_t body_hash = 0;

@@ -7,8 +7,8 @@
 //   1. agreement on the hand-built plan family conform_test.cc uses
 //      (clean / faulty / jittery / compiled), plus determinism across runs
 //      despite real threads — the hub's fixed read order is the only
-//      ordering authority — and the session's shape, four frames per live
-//      process per round;
+//      ordering authority — and the session's shape, one frame each way
+//      per live process per round;
 //   2. a crash/GST-style grid mirroring golden_fingerprint_test.cc, each
 //      cell asserting sync and transport fingerprints are identical;
 //   3. a >=240-trial seeded sweep over adversary-sampled plans with the
@@ -104,15 +104,15 @@ TEST(TransportConform, RejectsUnrunnablePlans) {
   EXPECT_FALSE(check_transport(plan).applicable);
 }
 
-// One round is one exchange: a live process gets kRoundBegin, answers with
-// its snapshot (sends included), gets one kDeliver and answers with its
-// inbox status.  With kInit before the rounds and kShutdown + kFinal after,
-// a crash-free plan costs n·(4·rounds + 3) frames.  A process that crashes
-// at round c gets kInit, c − 1 rounds and the crash kShutdown: 4·(c − 1) + 2.
-TEST(TransportConform, FourFramesPerLiveProcessPerRound) {
+// One round is one exchange: a live process gets one kRound, carrying the
+// previous round's deliveries, and answers with one kReport.  With kInit
+// before the rounds and the closing exchange after them, a crash-free plan
+// costs n·(2·rounds + 3) frames.  A process that crashes at round c gets
+// kInit and c exchanges, the last of which closes it: 2c + 1.
+TEST(TransportConform, OneFrameEachWayPerLiveProcessPerRound) {
   const TrialPlan plan = clean_plan();
   ASSERT_TRUE(plan.faults.empty());
-  const std::int64_t per_survivor = 4 * plan.rounds + 3;
+  const std::int64_t per_survivor = 2 * plan.rounds + 3;
   const TransportResult clean = run_transport_trial(plan);
   ASSERT_TRUE(clean.supported) << clean.unsupported_reason;
   EXPECT_EQ(clean.frames_sent, plan.n * per_survivor);
@@ -124,7 +124,7 @@ TEST(TransportConform, FourFramesPerLiveProcessPerRound) {
     const TransportResult r = run_transport_trial(crash);
     ASSERT_TRUE(r.supported) << r.unsupported_reason;
     EXPECT_TRUE(r.notes.empty()) << first_problem(r);
-    EXPECT_EQ(r.frames_sent, (plan.n - 1) * per_survivor + 4 * (c - 1) + 2)
+    EXPECT_EQ(r.frames_sent, (plan.n - 1) * per_survivor + 2 * c + 1)
         << "crash at round " << c;
   }
 }
