@@ -38,6 +38,9 @@ std::optional<CorruptionSpec::Kind> parse_corruption_kind(const std::string& s) 
   return std::nullopt;
 }
 
+// The most rounds a plan read from a file may ask for.
+constexpr int kMaxRounds = 100000;
+
 // The integer at `key` (`fallback` when absent or not an integer) if it
 // lies in [lo, hi].  The check runs on the int64 before narrowing to int, so
 // an out-of-range value is rejected instead of wrapping into the domain.
@@ -140,7 +143,7 @@ std::optional<TrialPlan> TrialPlan::from_value(const Value& v) {
   const auto n = int_in(v, "n", 0, 1, 128);
   const auto f_budget = int_in(v, "f", 1, 0, 128);
   const auto delay = int_in(v, "delay", 0, 0, 64);
-  const auto rounds = int_in(v, "rounds", 0, 1, 100000);
+  const auto rounds = int_in(v, "rounds", 0, 1, kMaxRounds);
   if (!n || !f_budget || !delay || !rounds) return std::nullopt;
   plan.n = *n;
   plan.f_budget = *f_budget;
@@ -163,7 +166,12 @@ std::optional<TrialPlan> TrialPlan::from_value(const Value& v) {
       f.until = e.at("until").int_or(FaultSpec::kNoEnd);
       f.peer = *peer;
       f.permille = *permille;
-      if (f.onset < 1 || f.until < f.onset) return std::nullopt;
+      // An onset past the rounds cap plus one never fires, and the event
+      // leg turns a crash onset into a virtual time (onset · period), so
+      // it must stay far from int64 overflow.
+      if (f.onset < 1 || f.onset > kMaxRounds + 1 || f.until < f.onset) {
+        return std::nullopt;
+      }
       plan.faults.push_back(f);
     }
   }
@@ -178,6 +186,12 @@ std::optional<TrialPlan> TrialPlan::from_value(const Value& v) {
       c.kind = *kind;
       c.magnitude = e.at("magnitude").int_or(0);
       c.value_seed = static_cast<std::uint64_t>(e.at("value_seed").int_or(0));
+      // Garbage integers are drawn from [-magnitude, magnitude], which a
+      // negative magnitude inverts (and INT64_MIN cannot negate).  A clock
+      // magnitude may be any int64: restore clamps it.
+      if (c.kind == CorruptionSpec::Kind::kGarbage && c.magnitude < 0) {
+        return std::nullopt;
+      }
       plan.corruptions.push_back(c);
     }
   }

@@ -9,6 +9,10 @@
 // stabilization margins from silently regressing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "check/explorer.h"
 #include "check/plan.h"
 #include "conform/metamorphic.h"
@@ -16,7 +20,7 @@
 namespace ftss {
 namespace {
 
-TrialPlan parse_plan(const char* json) {
+TrialPlan parse_plan(const std::string& json) {
   const auto value = Value::parse(json);
   EXPECT_TRUE(value.has_value()) << json;
   const auto plan = TrialPlan::from_value(*value);
@@ -216,11 +220,18 @@ TEST(CheckRegressions, PinnedPlansRoundTripThroughSerialization) {
 // through: "f": -1 made final_round() 0 and floor_mod divided by it
 // (SIGFPE), "f": INT_MAX overflowed final_round()'s f + 1, and values just
 // above 2^32 wrapped to a different plan (n=4, 10 rounds, a crash of p1).
+// The last three ran into undefined behaviour later: an INT64_MAX crash
+// onset overflowed the event leg's onset · period, a garbage magnitude of
+// INT64_MIN overflowed its negation, and any negative garbage magnitude
+// drew an integer from an inverted range.
 TEST(CheckRegressions, FromValueRejectsOutOfRangeIntegers) {
   constexpr const char* kCompiledHead =
       R"({"seed":7,"mode":"compiled","protocol":"floodset-consensus",)"
       R"("weakened":"none","n":4,"delay":0,"rounds":10,"corruptions":[],)"
       R"("faults":[],)";
+  constexpr const char* kAgreementHead =
+      R"({"seed":7,"mode":"round-agreement","weakened":"none","n":4,"f":1,)"
+      R"("delay":0,"rounds":10,)";
   const std::string rejected[] = {
       std::string(kCompiledHead) + R"("f":-1})",
       std::string(kCompiledHead) + R"("f":2147483647})",
@@ -228,6 +239,13 @@ TEST(CheckRegressions, FromValueRejectsOutOfRangeIntegers) {
       R"("n":4294967300,"f":1,"delay":0,"rounds":4294967306,)"
       R"("faults":[{"kind":"crash","p":4294967297,"onset":3}],)"
       R"("corruptions":[]})",
+      std::string(kAgreementHead) + R"("corruptions":[],)"
+      R"("faults":[{"kind":"crash","p":1,"onset":9223372036854775807}]})",
+      std::string(kAgreementHead) + R"("faults":[],"corruptions":[)"
+      R"({"kind":"garbage","p":1,"magnitude":-9223372036854775808,)"
+      R"("value_seed":2}]})",
+      std::string(kAgreementHead) + R"("faults":[],"corruptions":[)"
+      R"({"kind":"garbage","p":1,"magnitude":-1,"value_seed":2}]})",
   };
   for (const std::string& json : rejected) {
     const auto value = Value::parse(json);
@@ -245,11 +263,24 @@ TEST(CheckRegressions, FromValueRejectsOutOfRangeIntegers) {
       R"("permille":1,"until":2}]})");
   EXPECT_EQ(edge.f_budget, 128);
   EXPECT_EQ(edge.faults.at(0).peer, 3);
+  // A crash onset up to the rounds cap plus one, a garbage magnitude of 0
+  // and a negative clock magnitude (restore clamps it) parse too.
+  const TrialPlan late = parse_plan(
+      std::string(kAgreementHead) +
+      R"("faults":[{"kind":"crash","p":1,"onset":100001}],"corruptions":[)"
+      R"({"kind":"garbage","p":2,"magnitude":0,"value_seed":2},)"
+      R"({"kind":"clock","p":3,"magnitude":-9223372036854775808}]})");
+  EXPECT_EQ(late.faults.at(0).onset, 100001);
+  EXPECT_EQ(late.corruptions.at(0).magnitude, 0);
+  EXPECT_EQ(late.corruptions.at(1).magnitude,
+            std::numeric_limits<std::int64_t>::min());
   for (const char* fault :
        {R"({"kind":"send-omission","onset":1,"p":0,"peer":4})",
         R"({"kind":"send-omission","onset":1,"p":0,"peer":-2})",
         R"({"kind":"send-omission","onset":1,"p":0,"permille":4294968296})",
-        R"({"kind":"crash","onset":1,"p":4})"}) {
+        R"({"kind":"crash","onset":1,"p":4})",
+        R"({"kind":"crash","onset":100002,"p":0})",
+        R"({"kind":"receive-omission","onset":100002,"p":0})"}) {
     const std::string json =
         R"({"mode":"round-agreement","n":4,"rounds":10,"faults":[)" +
         std::string(fault) + "]}";
