@@ -140,23 +140,22 @@ void LockstepDriver::handle_send(Round r, Message&& m, AsyncContext& ctx) {
       books_.send(r, m.sender, m.dest, m.payload);
   if (!id) return;  // send-omitted (already recorded) or unscheduled
 
-  Value wire;
-  wire["id"] = Value(*id);
-  wire["sr"] = Value(r);
-  wire["b"] = std::move(m.payload);
   // Side-channel to the delay policy: land exactly at the resolved round's
   // delivery instant.  Lost-in-flight fates resolve past the final round, so
   // their events are scheduled but never dispatched.
   pending_delay_ = books_.pendings()[*id].delivery_round * kRoundPeriod +
                    kDeliverOffset - ctx.now();
-  ctx.send(m.dest, std::move(wire));
+  // The wire message is the [id, body] pair: the books hold the rest.
+  ctx.send(m.dest, Value::tuple(Value(*id), std::move(m.payload)));
 }
 
 void LockstepDriver::on_wire_message(ProcessId dest, ProcessId from,
                                      const Value& wire, AsyncContext& ctx) {
   const Time now = ctx.now();
   const Round r = now / kRoundPeriod;
-  const std::int64_t id = wire.is_map() ? wire.at("id").int_or(-1) : -1;
+  // Anything but an [id, body] pair carries no id, which claim reports.
+  const bool pair = wire.is_array() && wire.size() == 2;
+  const std::int64_t id = pair ? wire.as_array()[0].int_or(-1) : -1;
   ReplayBooks::Pending* pend = books_.claim(r, dest, id);
   if (pend == nullptr) return;
   if (pend->sender != from || now % kRoundPeriod != kDeliverOffset) {
@@ -177,13 +176,14 @@ void LockstepDriver::on_wire_message(ProcessId dest, ProcessId from,
     books_.report("schedule", r, os.str());
     return;
   }
+  const Value& body = wire.as_array()[1];
   if (pend->fate == Fate::kDelivered) {
     if (delivered_seen_++ == options_.drop_delivery_index) return;  // TEST HOOK
-    adapters_.at(dest)->buffer().push_back(Message{from, dest, wire.at("b")});
+    adapters_.at(dest)->buffer().push_back(Message{from, dest, body});
   }
   // The record carries the payload that came off the event queue, so the
   // differ checks payloads across it.
-  books_.resolve(*pend, r, pend->fate, wire.at("b"));
+  books_.resolve(*pend, r, pend->fate, body);
 }
 
 void LockstepDriver::finish(const EventSimulator& sim) {
