@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -34,19 +35,6 @@ std::set<std::string> divergence_kinds(const std::vector<Divergence>& ds) {
   return kinds;
 }
 
-// Re-run one named oracle on a candidate plan (the shrinker's probe).
-OracleResult rerun_oracle(const std::string& oracle, const TrialPlan& plan) {
-  if (oracle == "lockstep") return check_lockstep(plan);
-  if (oracle == "transport") return check_transport(plan);
-  if (oracle == "extension") return check_extension(plan, plan.rounds / 2);
-  if (oracle == "permutation") {
-    return check_permutation(normalize_for_permutation(plan),
-                             rotation(plan.n));
-  }
-  if (oracle == "tracing") return check_trace_transparency(plan);
-  return check_cow_transparency(plan);
-}
-
 struct TrialOutcome {
   TrialPlan plan;
   std::vector<OracleResult> results;
@@ -60,6 +48,28 @@ TrialPlan normalize_for_permutation(const TrialPlan& plan) {
   for (FaultSpec& f : norm.faults) f.permille = 1000;
   return norm;
 }
+
+namespace {
+
+// The conformance battery, in run order; run_conformance's results and
+// flight spans (a = index) follow it, and the shrinker re-runs a failed
+// result's entry.  Each oracle names itself in its OracleResult.
+using BatteryOracle = OracleResult (*)(const TrialPlan&);
+constexpr BatteryOracle kBattery[] = {
+    [](const TrialPlan& plan) { return check_lockstep(plan); },
+    [](const TrialPlan& plan) { return check_transport(plan); },
+    [](const TrialPlan& plan) {
+      return check_extension(plan, plan.rounds / 2);
+    },
+    [](const TrialPlan& plan) {
+      return check_permutation(normalize_for_permutation(plan),
+                               rotation(plan.n));
+    },
+    [](const TrialPlan& plan) { return check_trace_transparency(plan); },
+    [](const TrialPlan& plan) { return check_cow_transparency(plan); },
+};
+
+}  // namespace
 
 std::vector<OracleResult> run_conformance(const TrialPlan& plan) {
   // Each oracle evaluation becomes one flight span (a = oracle index, in
@@ -82,19 +92,10 @@ std::vector<OracleResult> run_conformance(const TrialPlan& plan) {
     FlightRecorder::span(FlightCat::kOracle, index, t);
     t = now;
   };
-  out.push_back(timed(0, check_lockstep(plan)));
-  mark(0);
-  out.push_back(timed(1, check_transport(plan)));
-  mark(1);
-  out.push_back(timed(2, check_extension(plan, plan.rounds / 2)));
-  mark(2);
-  out.push_back(timed(
-      3, check_permutation(normalize_for_permutation(plan), rotation(plan.n))));
-  mark(3);
-  out.push_back(timed(4, check_trace_transparency(plan)));
-  mark(4);
-  out.push_back(timed(5, check_cow_transparency(plan)));
-  mark(5);
+  for (int i = 0; i < static_cast<int>(std::size(kBattery)); ++i) {
+    out.push_back(timed(i, kBattery[i](plan)));
+    mark(i);
+  }
   FlightRecorder::span(FlightCat::kTrial,
                        static_cast<std::int64_t>(plan.trial_seed), start_ns);
   return out;
@@ -154,11 +155,12 @@ ConformReport conform_sweep(const ConformConfig& config) {
         if (config.shrink) {
           const std::set<std::string> original_kinds =
               divergence_kinds(first_failure->divergences);
-          const std::string oracle = first_failure->oracle;
+          const BatteryOracle rerun =
+              kBattery[first_failure - outcome.results.data()];
           const PlanShrinkResult s = shrink_plan(
               outcome.plan,
-              [&oracle, &original_kinds](const TrialPlan& cand) {
-                const OracleResult r = rerun_oracle(oracle, cand);
+              [rerun, &original_kinds](const TrialPlan& cand) {
+                const OracleResult r = rerun(cand);
                 if (!r.applicable || r.ok()) return false;
                 const std::set<std::string> kinds =
                     divergence_kinds(r.divergences);
@@ -169,8 +171,7 @@ ConformReport conform_sweep(const ConformConfig& config) {
               kShrinkBudget);
           failure.shrunk = s.plan;
           failure.shrink_steps = s.steps_accepted;
-          failure.divergences =
-              rerun_oracle(oracle, failure.shrunk).divergences;
+          failure.divergences = rerun(failure.shrunk).divergences;
         } else {
           failure.shrunk = outcome.plan;
           failure.divergences = first_failure->divergences;
