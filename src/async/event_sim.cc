@@ -1,5 +1,6 @@
 #include "async/event_sim.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -51,6 +52,18 @@ const AsyncConfig& checked(const AsyncConfig& config) {
   return config;
 }
 
+// The ring's width: the smallest power of two above every delay a send can
+// draw and the tick interval, so that every such event goes straight into
+// the ring, up to a cap that keeps a long-delay config's ring small.
+Time ring_width(const AsyncConfig& config) {
+  constexpr Time kMaxWidth = 4096;
+  Time reach = std::max(config.tick_interval, config.max_delay);
+  if (config.gst > 0) reach = std::max(reach, config.max_delay_pre_gst);
+  Time width = 1;
+  while (width <= reach && width < kMaxWidth) width *= 2;
+  return width;
+}
+
 }  // namespace
 
 EventSimulator::EventSimulator(
@@ -59,7 +72,9 @@ EventSimulator::EventSimulator(
       rng_(config.seed),
       processes_(std::move(processes)),
       skip_start_(processes_.size(), false),
-      crash_at_(processes_.size()) {}
+      crash_at_(processes_.size()),
+      window_(ring_width(config_)),
+      ring_(static_cast<std::size_t>(window_)) {}
 
 void EventSimulator::corrupt_state(ProcessId p, const Value& state,
                                    bool skip_start) {
@@ -106,18 +121,26 @@ void EventSimulator::enqueue_message(ProcessId from, ProcessId to,
 }
 
 void EventSimulator::push(Time at, Event ev) {
-  auto it = queue_.lower_bound(at);
-  if (it == queue_.end() || it->first != at) {
-    if (spare_.empty()) {
-      it = queue_.emplace_hint(it, at, std::vector<Event>());
-    } else {
-      spare_.back().key() = at;
-      it = queue_.insert(it, std::move(spare_.back()));
-      spare_.pop_back();
-    }
+  if (at - now_ < window_) {
+    slot(at).push_back(std::move(ev));
+    ++ring_pending_;
+  } else {
+    late_[at].push_back(std::move(ev));
+    ++late_pending_;
   }
-  it->second.push_back(std::move(ev));
-  ++pending_;
+}
+
+void EventSimulator::advance_to(Time t) {
+  now_ = t;
+  while (!late_.empty() && late_.begin()->first - now_ < window_) {
+    const auto bucket = late_.begin();
+    // Nothing due at this time can be in the ring yet, so its slot is empty.
+    std::vector<Event>& into = slot(bucket->first);
+    into.swap(bucket->second);
+    ring_pending_ += into.size();
+    late_pending_ -= into.size();
+    late_.erase(bucket);
+  }
 }
 
 void EventSimulator::ensure_started() {
@@ -139,21 +162,24 @@ void EventSimulator::run_until(Time until) {
     throw std::logic_error("EventSimulator::run_until: time runs backwards");
   }
   ensure_started();
-  while (!queue_.empty() && queue_.begin()->first <= until) {
-    const auto bucket = queue_.begin();
-    now_ = bucket->first;
-    // Handlers may append to this bucket (a delay-0 send), so walk it by
-    // index; front_next_ keeps the place if a handler throws.
-    while (front_next_ < bucket->second.size()) {
-      Event ev = std::move(bucket->second[front_next_++]);
-      --pending_;
+  for (;;) {
+    // Handlers may append to this slot (a delay-0 send), so walk it by
+    // index; slot_next_ keeps the place if a handler throws.
+    std::vector<Event>& due = slot(now_);
+    while (slot_next_ < due.size()) {
+      Event ev = std::move(due[slot_next_++]);
+      --ring_pending_;
       dispatch(ev);
     }
-    bucket->second.clear();
-    spare_.push_back(queue_.extract(bucket));
-    front_next_ = 0;
+    due.clear();
+    slot_next_ = 0;
+    if (now_ == until) return;
+    if (ring_pending_ > 0) {
+      advance_to(now_ + 1);
+    } else {
+      advance_to(late_.empty() ? until : std::min(until, late_.begin()->first));
+    }
   }
-  now_ = until;
 }
 
 void EventSimulator::dispatch(const Event& ev) {
