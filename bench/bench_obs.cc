@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -186,18 +187,31 @@ void print_overhead_guard(bench::JsonEmitter& json) {
 
 // --- Transport latency percentiles ---------------------------------------
 
+// Rounds per n.  hub_round_ns gets one observation per round, and n = 64
+// costs ≈26 ms a round on a 4-vCPU host, so 100 rounds give it a p90.
+constexpr int kLatencyRounds = 100;
+
+// A tail percentile says more than the max only with at least ten
+// observations beyond it: p90 needs 100, p99 needs 1000.  Below that it
+// prints "-".
+std::string tail_percentile(const HistogramData& h, int pct) {
+  if (h.count * (100 - pct) < 10 * 100) return "-";
+  return bench::fmt(h.percentile_upper(pct));
+}
+
 void print_transport_latency(bench::JsonEmitter& json) {
-  bench::Table table(
-      "EXP18b: socket transport latency percentiles (round-agreement, 8 "
-      "rounds, log-bucketed ns)",
-      {"n", "histogram", "count", "p50", "p90", "p99", "max"});
+  bench::Table table("EXP18b: socket transport latency percentiles "
+                     "(round-agreement, " +
+                         std::to_string(kLatencyRounds) +
+                         " rounds, log-bucketed ns)",
+                     {"n", "histogram", "count", "p50", "p90", "p99", "max"});
   bool all_populated = true;
   for (const int n : {8, 32, 64}) {
     TrialPlan plan;
     plan.trial_seed = 17;
     plan.mode = TrialMode::kRoundAgreementSync;
     plan.n = n;
-    plan.rounds = 8;
+    plan.rounds = kLatencyRounds;
     const TransportResult r = run_transport_trial(plan);
     if (!r.supported) {
       all_populated = false;
@@ -213,8 +227,8 @@ void print_transport_latency(bench::JsonEmitter& json) {
       const HistogramData& h = it->second;
       table.add_row({bench::fmt(static_cast<std::int64_t>(n)), name,
                      bench::fmt(h.count), bench::fmt(h.percentile_upper(50)),
-                     bench::fmt(h.percentile_upper(90)),
-                     bench::fmt(h.percentile_upper(99)), bench::fmt(h.max)});
+                     tail_percentile(h, 90), tail_percentile(h, 99),
+                     bench::fmt(h.max)});
     }
     // The timing histograms never leak into stable fingerprints.
     all_populated &= r.timing.fingerprint() == MetricsSnapshot{}.fingerprint();
