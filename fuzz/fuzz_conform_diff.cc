@@ -2,13 +2,14 @@
 //
 // Fuzz bytes are decoded into a small, well-formed TrialPlan (bounded n and
 // rounds so each execution stays in the microsecond range) and run through
-// the lock-step differential leg.  Any divergence between the sync and
-// event engines on a supported plan is a harness/simulator bug and traps;
-// unsupported plans (ambiguous schedules) are legitimate and ignored.
+// the lock-step differential oracle.  Any finding on an applicable plan —
+// a replay-books note or a history diff between the sync and event engines
+// — is a harness/simulator bug and traps; inapplicable plans (ambiguous
+// schedules) are legitimate and ignored.
 #include <cstddef>
 #include <cstdint>
 
-#include "conform/lockstep.h"
+#include "conform/metamorphic.h"
 
 namespace {
 
@@ -83,7 +84,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     plan.corruptions.push_back(c);
   }
 
-  const ftss::LockstepResult result = ftss::run_lockstep_trial(plan);
-  if (result.supported && !result.divergences.empty()) __builtin_trap();
+  const ftss::OracleResult result = ftss::check_lockstep(plan);
+  if (result.applicable && !result.ok()) __builtin_trap();
   return 0;
 }

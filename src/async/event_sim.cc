@@ -1,6 +1,7 @@
 #include "async/event_sim.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -55,12 +56,11 @@ const AsyncConfig& checked(const AsyncConfig& config) {
 // The ring's width: the smallest power of two above every delay a send can
 // draw and the tick interval, so that every such event goes straight into
 // the ring, up to a cap that keeps a long-delay config's ring small.
-Time ring_width(const AsyncConfig& config) {
-  constexpr Time kMaxWidth = 4096;
+Time ring_width(const AsyncConfig& config, Time cap) {
   Time reach = std::max(config.tick_interval, config.max_delay);
   if (config.gst > 0) reach = std::max(reach, config.max_delay_pre_gst);
   Time width = 1;
-  while (width <= reach && width < kMaxWidth) width *= 2;
+  while (width <= reach && width < cap) width *= 2;
   return width;
 }
 
@@ -73,7 +73,7 @@ EventSimulator::EventSimulator(
       processes_(std::move(processes)),
       skip_start_(processes_.size(), false),
       crash_at_(processes_.size()),
-      window_(ring_width(config_)),
+      window_(ring_width(config_, kMaxWindow)),
       ring_(static_cast<std::size_t>(window_)) {}
 
 void EventSimulator::corrupt_state(ProcessId p, const Value& state,
@@ -123,6 +123,7 @@ void EventSimulator::enqueue_message(ProcessId from, ProcessId to,
 void EventSimulator::push(Time at, Event ev) {
   if (at - now_ < window_) {
     slot(at).push_back(std::move(ev));
+    set_occupied(at, true);
     ++ring_pending_;
   } else {
     late_[at].push_back(std::move(ev));
@@ -137,6 +138,7 @@ void EventSimulator::advance_to(Time t) {
     // Nothing due at this time can be in the ring yet, so its slot is empty.
     std::vector<Event>& into = slot(bucket->first);
     into.swap(bucket->second);
+    set_occupied(bucket->first, true);
     ring_pending_ += into.size();
     late_pending_ -= into.size();
     late_.erase(bucket);
@@ -172,14 +174,32 @@ void EventSimulator::run_until(Time until) {
       dispatch(ev);
     }
     due.clear();
+    set_occupied(now_, false);
     slot_next_ = 0;
     if (now_ == until) return;
     if (ring_pending_ > 0) {
-      advance_to(now_ + 1);
+      advance_to(std::min(until, next_occupied()));
     } else {
       advance_to(late_.empty() ? until : std::min(until, late_.begin()->first));
     }
   }
+}
+
+Time EventSimulator::next_occupied() const {
+  // Scan the words from now's slot on, wrapping once; now's own slot is
+  // empty, so the first set bit is the next occupied slot.
+  const std::size_t words = static_cast<std::size_t>(window_ + 63) / 64;
+  const std::size_t from = slot_index(now_ + 1);
+  for (std::size_t k = 0; k <= words; ++k) {
+    const std::size_t w = (from / 64 + k) % words;
+    std::uint64_t bits = occupied_[w];
+    if (k == 0) bits &= ~std::uint64_t{0} << (from % 64);
+    if (bits != 0) {
+      const Time at = static_cast<Time>(w * 64 + std::countr_zero(bits));
+      return now_ + ((at - now_) & (window_ - 1));
+    }
+  }
+  return now_ + window_;  // unreachable while ring_pending_ > 0
 }
 
 void EventSimulator::dispatch(const Event& ev) {

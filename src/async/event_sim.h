@@ -27,11 +27,12 @@
 //     holds within each due time.
 //   - Dispatch walks the slot of now by index and moves each event out, so
 //     a delay-0 send made by a handler lands at the end of the slot being
-//     walked.  The clock then steps one time unit while the ring holds
-//     events, and otherwise jumps to the first overflow time or the end of
-//     the run.  A stretch with nothing in the ring costs O(1) however long
-//     it is; one with a few events in a wide ring costs one step per time
-//     unit.
+//     walked.  One occupancy bit per slot marks the slots that hold events.
+//     The clock then jumps to the due time of the first occupied slot after
+//     now's, or, with the ring empty, to the first overflow time, and never
+//     past the end of the run.  No overflow event is due before now + W, so
+//     none can fall due before that slot.  A stretch of empty slots costs
+//     one bit scan per 64 slots, not one step per time unit.
 // That needs nothing to fall due before now, hence the timing rules on
 // AsyncConfig.
 //
@@ -42,6 +43,7 @@
 // could remain silent forever.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -159,8 +161,17 @@ class EventSimulator {
   void enqueue_message(ProcessId from, ProcessId to, Value payload);
   void push(Time at, Event ev);
   void advance_to(Time t);
+  Time next_occupied() const;
   void dispatch(const Event& ev);
-  std::vector<Event>& slot(Time t) { return ring_[t & (window_ - 1)]; }
+  std::size_t slot_index(Time t) const {
+    return static_cast<std::size_t>(t & (window_ - 1));
+  }
+  std::vector<Event>& slot(Time t) { return ring_[slot_index(t)]; }
+  void set_occupied(Time t, bool on) {
+    const std::size_t i = slot_index(t);
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    occupied_[i / 64] = on ? occupied_[i / 64] | bit : occupied_[i / 64] & ~bit;
+  }
 
   AsyncConfig config_;
   Rng rng_;
@@ -169,9 +180,12 @@ class EventSimulator {
   std::vector<bool> skip_start_;
   std::vector<std::optional<Time>> crash_at_;
   // Pending events (header comment): the ring of W = window_ slots for the
-  // next W time units, and the overflow map for everything later.
+  // next W time units, one occupancy bit per slot, and the overflow map for
+  // everything later.
+  static constexpr Time kMaxWindow = 4096;
   Time window_;
   std::vector<std::vector<Event>> ring_;
+  std::array<std::uint64_t, kMaxWindow / 64> occupied_{};
   std::map<Time, std::vector<Event>> late_;
   std::size_t slot_next_ = 0;  // next event to dispatch in slot(now_)
   std::size_t ring_pending_ = 0;

@@ -9,11 +9,13 @@
 //
 // Exit code: 0 iff no oracle diverged on any trial.
 #include <cstdint>
+#include <functional>
 #include <iomanip>
 #include <iostream>
 #include <limits>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "conform/batching.h"
 #include "conform/conform.h"
@@ -66,69 +68,66 @@ int replay(const ftss::TrialPlan& plan, const std::string& dump_dir) {
   return diverged ? 1 : 0;
 }
 
-int lockstep(const ftss::TrialPlan& plan, const std::string& dump_dir) {
-  const ftss::LockstepResult result = ftss::run_lockstep_trial(plan);
-  if (!result.supported) {
-    std::cout << "unsupported: " << result.unsupported_reason << "\n";
+// The one printer for both replay legs: the sync and replayed histories'
+// fingerprints, the sync label padded to the leg's; then `traffic`, what
+// only that leg measures; then the leg's findings (replay_findings).  Any
+// finding writes the failure dump named `dump_stem`: exit 1.
+template <typename Leg>
+int print_leg(const Leg& leg, const ftss::History& replayed,
+              const std::string& label, const std::function<void()>& traffic,
+              const char* dump_stem, const std::string& dump_dir,
+              const ftss::MetricsSnapshot* timing) {
+  if (!leg.supported) {
+    std::cout << "unsupported: " << leg.unsupported_reason << "\n";
     return 2;
   }
+  const std::string sync_label = "sync" + std::string(label.size() - 4, ' ');
   std::cout << std::hex << std::setfill('0');
-  std::cout << "sync  fingerprint: 0x" << std::setw(16)
-            << result.sync_fingerprint << "\n";
-  std::cout << "event fingerprint: 0x" << std::setw(16)
-            << result.event_fingerprint << "\n";
+  std::cout << sync_label << " fingerprint: 0x" << std::setw(16)
+            << ftss::history_fingerprint(leg.sync_history) << "\n";
+  std::cout << label << " fingerprint: 0x" << std::setw(16)
+            << ftss::history_fingerprint(replayed) << "\n";
   std::cout << std::dec << std::setfill(' ');
-  for (const ftss::Divergence& d : result.divergences) {
+  traffic();
+  const std::vector<ftss::Divergence> findings =
+      ftss::replay_findings(leg.notes, leg.sync_history, replayed);
+  for (const ftss::Divergence& d : findings) {
     std::cout << ftss::describe(d) << "\n";
   }
-  if (!result.divergences.empty()) {
-    ftss::report_failure_dump(dump_dir, "ftss_conform_lockstep_failure",
-                              nullptr);
+  if (!findings.empty()) {
+    ftss::report_failure_dump(dump_dir, dump_stem, timing);
   }
-  return result.divergences.empty() ? 0 : 1;
+  return findings.empty() ? 0 : 1;
+}
+
+int lockstep(const ftss::TrialPlan& plan, const std::string& dump_dir) {
+  const ftss::LockstepResult leg = ftss::run_lockstep_trial(plan);
+  return print_leg(leg, leg.event_history, "event", [] {},
+                   "ftss_conform_lockstep_failure", dump_dir, nullptr);
 }
 
 int transport(const ftss::TrialPlan& plan, const std::string& dump_dir) {
-  const ftss::TransportResult result = ftss::run_transport_trial(plan);
-  if (!result.supported) {
-    std::cout << "unsupported: " << result.unsupported_reason << "\n";
-    return 2;
-  }
-  std::cout << std::hex << std::setfill('0');
-  std::cout << "sync      fingerprint: 0x" << std::setw(16)
-            << ftss::history_fingerprint(result.sync_history) << "\n";
-  std::cout << "transport fingerprint: 0x" << std::setw(16)
-            << ftss::history_fingerprint(result.transport_history) << "\n";
-  std::cout << std::dec << std::setfill(' ');
-  std::cout << "wire: " << result.frames_sent << " frames, "
-            << result.bytes_sent << " bytes\n";
-  // Wall-clock figures differ on every run, so they stay off stdout.
-  for (const char* name : {"hub_round_ns", "wire_encode_ns",
-                           "wire_decode_ns", "transport_trial_ns"}) {
-    const auto it = result.timing.histograms.find(name);
-    if (it == result.timing.histograms.end() || it->second.count == 0) {
-      continue;
+  const ftss::TransportResult leg = ftss::run_transport_trial(plan);
+  const auto traffic = [&leg] {
+    std::cout << "wire: " << leg.frames_sent << " frames, " << leg.bytes_sent
+              << " bytes\n";
+    // Wall-clock figures differ on every run, so they stay off stdout.
+    for (const char* name : {"hub_round_ns", "wire_encode_ns",
+                             "wire_decode_ns", "transport_trial_ns"}) {
+      const auto it = leg.timing.histograms.find(name);
+      if (it == leg.timing.histograms.end() || it->second.count == 0) {
+        continue;
+      }
+      const ftss::HistogramData& h = it->second;
+      std::cerr << name << ": n=" << h.count
+                << " p50=" << h.percentile_upper(50)
+                << " p90=" << h.percentile_upper(90)
+                << " p99=" << h.percentile_upper(99) << " max=" << h.max
+                << "\n";
     }
-    const ftss::HistogramData& h = it->second;
-    std::cerr << name << ": n=" << h.count << " p50=" << h.percentile_upper(50)
-              << " p90=" << h.percentile_upper(90)
-              << " p99=" << h.percentile_upper(99) << " max=" << h.max << "\n";
-  }
-  bool diverged = false;
-  for (const ftss::Divergence& d : result.notes) {
-    std::cout << ftss::describe(d) << "\n";
-    diverged = true;
-  }
-  for (const ftss::Divergence& d : ftss::diff_histories(
-           result.sync_history, result.transport_history)) {
-    std::cout << ftss::describe(d) << "\n";
-    diverged = true;
-  }
-  if (diverged) {
-    ftss::report_failure_dump(dump_dir, "ftss_conform_transport_failure",
-                              &result.timing);
-  }
-  return diverged ? 1 : 0;
+  };
+  return print_leg(leg, leg.transport_history, "transport", traffic,
+                   "ftss_conform_transport_failure", dump_dir, &leg.timing);
 }
 
 // Runs `mode` on the plan in the file at `path`; exit status 2 if there is

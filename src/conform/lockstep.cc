@@ -195,13 +195,7 @@ void LockstepDriver::finish(const EventSimulator& sim) {
                           ep.round_counter());
   }
   result_->event_history = books_.finish();
-  result_->divergences = std::move(books_.reports());
-  for (Divergence& d :
-       diff_histories(result_->sync_history, result_->event_history)) {
-    result_->divergences.push_back(std::move(d));
-  }
-  result_->sync_fingerprint = history_fingerprint(result_->sync_history);
-  result_->event_fingerprint = history_fingerprint(result_->event_history);
+  result_->notes = std::move(books_.reports());
 }
 
 void LockstepDriver::run() {

@@ -15,11 +15,15 @@
 // what the event leg actually did — liveness from ticks that fired,
 // clocks/states from adapter snapshots, send fates from deliveries observed,
 // payloads as they came off the event queue — and the books rebuild the
-// History and cross-check final states, crashes and metrics, before the
-// differ compares the two histories.  The driver itself keeps only the
-// adapters, the tick stagger and the checks only the event queue allows:
-// sender attribution, the delivery instant, and no dispatch to a crashed
-// destination or of a message lost in flight.
+// History and cross-check final states, crashes and metrics.  The driver
+// itself keeps only the adapters, the tick stagger and the checks only the
+// event queue allows: sender attribution, the delivery instant, and no
+// dispatch to a crashed destination or of a message lost in flight.
+//
+// The leg returns what it observed and judges nothing: the two histories
+// and the books' notes.  replay_findings (conform/metamorphic.h) diffs the
+// histories and gives the verdict, for check_lockstep and ftss_conform
+// --lockstep alike, as it does for the transport leg.
 //
 // What this checks: protocol transition equivalence under a second engine,
 // the event simulator's crash/dispatch semantics against the sync model,
@@ -34,7 +38,7 @@
 #include <vector>
 
 #include "check/plan.h"
-#include "conform/diff.h"
+#include "check/replay_books.h"  // Divergence
 #include "sim/history.h"
 
 namespace ftss {
@@ -63,13 +67,8 @@ struct LockstepResult {
 
   History sync_history;
   History event_history;
-  std::uint64_t sync_fingerprint = 0;
-  std::uint64_t event_fingerprint = 0;
-  // The replay books' cross-checks (Divergence lists their kinds), then the
-  // history diffs.
-  std::vector<Divergence> divergences;
-
-  bool ok() const { return supported && divergences.empty(); }
+  // The replay books' cross-checks; Divergence lists their kinds.
+  std::vector<Divergence> notes;
 };
 
 LockstepResult run_lockstep_trial(const TrialPlan& plan,

@@ -278,15 +278,34 @@ OracleResult check_cow_transparency(const TrialPlan& plan,
   return res;
 }
 
+std::vector<Divergence> replay_findings(std::vector<Divergence> notes,
+                                        const History& sync,
+                                        const History& replayed) {
+  for (Divergence& d : diff_histories(sync, replayed)) {
+    notes.push_back(std::move(d));
+  }
+  return notes;
+}
+
 OracleResult check_lockstep(const TrialPlan& plan,
                             const LockstepOptions& options) {
+  LockstepResult leg = run_lockstep_trial(plan, options);
+  if (!leg.supported) return inapplicable("lockstep", leg.unsupported_reason);
   OracleResult res;
   res.oracle = "lockstep";
-  LockstepResult lr = run_lockstep_trial(plan, options);
-  if (!lr.supported) {
-    return inapplicable("lockstep", lr.unsupported_reason);
-  }
-  res.divergences = std::move(lr.divergences);
+  res.divergences = replay_findings(std::move(leg.notes), leg.sync_history,
+                                    leg.event_history);
+  return res;
+}
+
+OracleResult check_transport(const TrialPlan& plan,
+                             const TransportOptions& options) {
+  TransportResult leg = run_transport_trial(plan, options);
+  if (!leg.supported) return inapplicable("transport", leg.unsupported_reason);
+  OracleResult res;
+  res.oracle = "transport";
+  res.divergences = replay_findings(std::move(leg.notes), leg.sync_history,
+                                    leg.transport_history);
   return res;
 }
 

@@ -14,11 +14,15 @@
 //   cow            deep-copying every payload/state crossing a process
 //                  boundary (severing all copy-on-write sharing) changes
 //                  nothing — i.e. no component mutates a shared Value.
-//   lockstep       the cross-simulator differential leg (conform/lockstep.h)
-//                  exposed under the same result shape.
+//   lockstep       the cross-simulator differential leg (conform/lockstep.h):
+//                  the plan replayed on the event simulator.
 //   transport      the socket transport leg (net/transport.h): the plan
 //                  re-executed over encoded frames on loopback sockets, one
-//                  OS thread per process, diffed against the sync history.
+//                  OS thread per process.
+//
+// The two replay legs judge nothing themselves: each returns the sync
+// history, its replayed history and its replay books' notes, and
+// replay_findings below turns those into the leg's findings.
 //
 // Every oracle carries a deliberate-breakage hook so tests can prove it is
 // able to fail (mutation testing); see each Options struct.
@@ -90,6 +94,14 @@ using PayloadTransform = std::function<Value(const Value&)>;
 
 OracleResult check_cow_transparency(const TrialPlan& plan,
                                     const PayloadTransform& transform = {});
+
+// A replay leg's findings: its books' notes (ReplayBooks::reports()), then
+// every divergence diff_histories finds between the sync history and the
+// leg's replayed one.  check_lockstep, check_transport and ftss_conform
+// --lockstep/--transport all judge a leg by it.
+std::vector<Divergence> replay_findings(std::vector<Divergence> notes,
+                                        const History& sync,
+                                        const History& replayed);
 
 OracleResult check_lockstep(const TrialPlan& plan,
                             const LockstepOptions& options = {});

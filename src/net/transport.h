@@ -28,6 +28,12 @@
 // scheduling cannot perturb the recorded history: transport histories
 // fingerprint-stably match the sync leg's.
 //
+// The leg returns what it observed and judges nothing: the two histories,
+// the books' notes and its traffic.  The diff and the verdict belong to
+// conform/ (replay_findings in conform/metamorphic.h), which keeps this
+// library free of conform dependencies and judges both replay legs the
+// same way.
+//
 // Corruption surface: the hub can deliberately mangle the inner frame of a
 // chosen delivery (bit flip, truncation, payload mutation), duplicate it,
 // drop it, or delay it a round.  Because the mangled bytes ride inside an
@@ -105,8 +111,6 @@ struct TransportResult {
   // Every histogram is wall_clock-flagged, so merging this into any
   // aggregate snapshot leaves the stable fingerprint untouched.
   MetricsSnapshot timing;
-
-  bool ok() const { return supported && notes.empty(); }
 };
 
 TransportResult run_transport_trial(const TrialPlan& plan,

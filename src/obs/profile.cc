@@ -8,7 +8,6 @@ ScopedTimer::~ScopedTimer() {
     hist_->wall_clock = true;
     hist_->observe(ns);
   }
-  if (reg_ != nullptr) reg_->observe_nanos(name_, ns);
   if (cat_ != FlightCat::kNone) FlightRecorder::span(cat_, a_, start_ns_);
 }
 

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "obs/flight.h"
 #include "obs/metrics.h"
@@ -26,12 +25,6 @@ class ScopedTimer {
   explicit ScopedTimer(HistogramData* hist,
                        FlightCat cat = FlightCat::kNone, std::int64_t a = 0)
       : hist_(hist), cat_(cat), a_(a),
-        start_ns_(FlightRecorder::now_ns()) {}
-
-  // Observes into registry histogram `name` (nanosecond bound family).
-  ScopedTimer(MetricsRegistry* reg, std::string name,
-              FlightCat cat = FlightCat::kNone, std::int64_t a = 0)
-      : reg_(reg), name_(std::move(name)), cat_(cat), a_(a),
         start_ns_(FlightRecorder::now_ns()) {}
 
   ScopedTimer(const ScopedTimer&) = delete;
@@ -50,8 +43,6 @@ class ScopedTimer {
 
  private:
   HistogramData* hist_ = nullptr;
-  MetricsRegistry* reg_ = nullptr;
-  std::string name_;
   FlightCat cat_ = FlightCat::kNone;
   std::int64_t a_ = 0;
   std::int64_t start_ns_ = 0;

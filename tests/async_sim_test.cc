@@ -362,6 +362,65 @@ TEST(EventSimulator, ThrowingHandlerResumesAtItsPlace) {
   EXPECT_EQ(log, want);
 }
 
+TEST(EventSimulator, WideRingDispatchesSparseEventsInOrder) {
+  // A tick interval of 1000 makes the ring 1024 slots wide.  At time 0 p0
+  // sends "a" into slot 700 and "c" into slot 1023, and "b" and "d" past the
+  // ring, due at 1500 and 3000.  At its tick at 1000 it sends "e" and "f",
+  // due at 1040 and 2023, into slots 16 and 999 after the wrap, and p1's
+  // tick at 1001 sends "g", due at 1024, into slot 0.  The run stops between
+  // events and exactly on due times; every dispatch, ticks included, comes
+  // at its due time and in (due time, send order).
+  std::vector<std::pair<Time, Value>> log;
+  std::vector<std::unique_ptr<AsyncProcess>> procs;
+  procs.push_back(std::make_unique<Courier>(
+      &log,
+      [](AsyncContext& ctx) {
+        for (const char* word : {"a", "b", "c", "d"}) ctx.send(1, Value(word));
+      },
+      [&log](AsyncContext& ctx) {
+        log.emplace_back(ctx.now(), Value("tick0"));
+        if (ctx.now() != 1000) return;
+        ctx.send(1, Value("e"));
+        ctx.send(1, Value("f"));
+      }));
+  procs.push_back(std::make_unique<Courier>(
+      &log, nullptr, [&log](AsyncContext& ctx) {
+        log.emplace_back(ctx.now(), Value("tick1"));
+        if (ctx.now() == 1001) ctx.send(0, Value("g"));
+      }));
+  EventSimulator sim(AsyncConfig{.seed = 1, .tick_interval = 1000},
+                     std::move(procs));
+  sim.set_delay_policy(
+      [delays = std::vector<Time>{700, 1500, 1023, 3000, 40, 1023, 23},
+       next = std::size_t{0}](ProcessId, ProcessId, Time) mutable {
+        return delays.at(next++);
+      });
+  struct Step {
+    Time until;
+    std::vector<std::pair<Time, Value>> dispatched;
+  };
+  const Step steps[] = {
+      {699, {}},
+      {700, {{700, Value("a")}}},
+      {1010, {{1000, Value("tick0")}, {1001, Value("tick1")}}},
+      {1023, {{1023, Value("c")}}},
+      {1024, {{1024, Value("g")}}},
+      {1600, {{1040, Value("e")}, {1500, Value("b")}}},
+      {2023,
+       {{2000, Value("tick0")}, {2001, Value("tick1")}, {2023, Value("f")}}},
+      {3000, {{3000, Value("d")}, {3000, Value("tick0")}}},
+      {3500, {{3001, Value("tick1")}}},
+  };
+  std::vector<std::pair<Time, Value>> want;
+  for (const Step& step : steps) {
+    sim.run_until(step.until);
+    EXPECT_EQ(sim.now(), step.until);
+    want.insert(want.end(), step.dispatched.begin(), step.dispatched.end());
+    EXPECT_EQ(log, want) << "after run_until(" << step.until << ")";
+  }
+  EXPECT_EQ(sim.pending_events(), 2u);  // the ticks due at 4000 and 4001
+}
+
 TEST(EventSimulator, RejectsMalformedTiming) {
   // A zero tick interval divides by zero when the first ticks are
   // staggered; lo > hi delay ranges draw out of range or into the past.

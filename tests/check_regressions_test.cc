@@ -189,17 +189,23 @@ TEST(CheckRegressions, PermutationRenamesPayloadSenderIds) {
 }
 
 // The same schedule through the cross-simulator differential leg: both
-// engines must agree fate-for-fate, and stay agreeing — the fingerprints
-// are equal by construction, their value is pinned by ConformSweep's
-// aggregate fingerprint in conform_test.cc.
+// engines must agree fate-for-fate, and stay agreeing.  The two history
+// fingerprints are equal by construction; their values are not pinned for
+// these plans (ConformSweep's aggregate folds only oracle names, verdicts
+// and divergence kinds).  CliOutput.ConformLockstep* pins the values for
+// the two fixture plans.
 TEST(CheckRegressions, PinnedPlanLockstepConforms) {
   for (const char* json : {kRaMaxShrunk, kClampProbe}) {
     TrialPlan plan = parse_plan(json);
     plan.weakened = WeakenedKind::kNone;  // conformance is protocol-agnostic
     const LockstepResult r = run_lockstep_trial(plan);
     ASSERT_TRUE(r.supported) << r.unsupported_reason;
-    EXPECT_TRUE(r.ok()) << json << ": " << describe(r.divergences.front());
-    EXPECT_EQ(r.sync_fingerprint, r.event_fingerprint) << json;
+    const std::vector<Divergence> found =
+        replay_findings(r.notes, r.sync_history, r.event_history);
+    EXPECT_TRUE(found.empty()) << json << ": " << describe(found.front());
+    EXPECT_EQ(history_fingerprint(r.sync_history),
+              history_fingerprint(r.event_history))
+        << json;
   }
 }
 

@@ -19,14 +19,14 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "check/explorer.h"
 #include "obs/flight.h"
-#include "obs/trace.h"
 #include "sim/history_dump.h"
 #include "sim/simulator.h"
+#include "sync_golden.h"
 #include "test_util.h"
 
 namespace ftss {
@@ -41,129 +41,16 @@ struct SimThreadsGuard {
   SimThreadsGuard& operator=(const SimThreadsGuard&) = delete;
 };
 
-std::uint64_t fnv(std::uint64_t h, std::string_view s) {
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-
-// Same folding as golden_fingerprint_test.cc's sync_fingerprint: verbose
-// history dump + metrics fingerprint + oracle violations, plus the trace
-// tape's JSONL for traced cases.  The constants asserted below are the exact
-// pins from that suite, so a lane count that perturbs anything observable,
-// trace events included, fails against the one-lane truth.
-std::uint64_t sync_fingerprint(const TrialPlan& plan, bool traced) {
-  TraceTape tape;
-  TrialRunOptions options;
-  options.record_states = true;
-  History history;
-  options.history_out = &history;
-  if (traced) options.trace = &tape;
-  const TrialResult result = run_trial(plan, options);
-
-  DumpOptions dump;
-  dump.show_sends = true;
-  dump.show_suspects = true;
-  std::uint64_t fp = kFnvBasis;
-  fp = fnv(fp, history_to_string(history, dump));
-  fp = fnv(fp, std::to_string(result.metrics.fingerprint()));
-  for (const auto& v : result.evaluation.violations) fp = fnv(fp, v.oracle);
-  if (traced) fp = fnv(fp, trace_to_jsonl(tape));
-  return fp;
-}
-
-TrialPlan sync_plan(std::uint64_t seed, int n) {
-  TrialPlan plan;
-  plan.trial_seed = seed;
-  plan.mode = TrialMode::kRoundAgreementSync;
-  plan.n = n;
-  plan.rounds = 30;
-  plan.faults.push_back(FaultSpec{.process = 1,
-                                  .kind = FaultSpec::Kind::kCrash,
-                                  .onset = 9});
-  plan.corruptions.push_back(CorruptionSpec{
-      .process = 0, .kind = CorruptionSpec::Kind::kClock, .magnitude = 4123});
-  return plan;
-}
-
-TrialPlan jitter_plan(std::uint64_t seed, int n, int max_extra_delay) {
-  TrialPlan plan;
-  plan.trial_seed = seed;
-  plan.mode = TrialMode::kRoundAgreementJitter;
-  plan.n = n;
-  plan.rounds = 40;
-  plan.max_extra_delay = max_extra_delay;
-  plan.faults.push_back(FaultSpec{.process = 2,
-                                  .kind = FaultSpec::Kind::kReceiveOmission,
-                                  .onset = 5,
-                                  .until = 12,
-                                  .permille = 500});
-  plan.corruptions.push_back(CorruptionSpec{.process = 1,
-                                            .kind = CorruptionSpec::Kind::kGarbage,
-                                            .magnitude = 64,
-                                            .value_seed = seed * 3 + 1});
-  return plan;
-}
-
-TrialPlan compiled_plan(std::uint64_t seed, const std::string& protocol, int n,
-                        int f, int max_extra_delay) {
-  TrialPlan plan;
-  plan.trial_seed = seed;
-  plan.mode = TrialMode::kCompiled;
-  plan.protocol = protocol;
-  plan.n = n;
-  plan.f_budget = f;
-  plan.rounds = 36;
-  plan.max_extra_delay = max_extra_delay;
-  plan.faults.push_back(FaultSpec{.process = 0,
-                                  .kind = FaultSpec::Kind::kCrash,
-                                  .onset = 7});
-  if (f >= 2) {
-    plan.faults.push_back(FaultSpec{.process = 1,
-                                    .kind = FaultSpec::Kind::kSendOmission,
-                                    .onset = 3,
-                                    .until = 10,
-                                    .peer = 2});
-  }
-  plan.corruptions.push_back(CorruptionSpec{
-      .process = n - 1, .kind = CorruptionSpec::Kind::kClock, .magnitude = 997});
-  return plan;
-}
-
 // Traced cases take the lanes too: the fate pass emits every per-message
-// event, so the tape must not depend on the lane count either.
+// event, so the tape must not depend on the lane count either.  Every case
+// of golden_fingerprint_test.cc's grid (sync_golden.h), so a lane count
+// that perturbs anything observable fails against the one-lane truth.
 TEST(ParallelRound, PinnedFingerprintsIdenticalAtAnyLaneCount) {
-  struct Case {
-    const char* name;
-    TrialPlan plan;
-    bool traced;
-    std::uint64_t want;
-  };
-  const Case cases[] = {
-      {"sync/n4/seed7", sync_plan(7, 4), false, 0xc9eed893f838c016},
-      {"sync/n4/seed7/traced", sync_plan(7, 4), true, 0xa88e386fb597faae},
-      {"jitter/n4/d2/seed11", jitter_plan(11, 4, 2), false,
-       0x356d9460bf79b1e6},
-      {"jitter/n4/d2/seed11/traced", jitter_plan(11, 4, 2), true,
-       0xceecf8df6be581b6},
-      {"compiled/floodset/n4/f1/seed5/traced",
-       compiled_plan(5, "floodset-consensus", 4, 1, 0), true,
-       0x1d9416d9253c4bff},
-      {"compiled/floodset/n8/f2/d1/seed9",
-       compiled_plan(9, "floodset-consensus", 8, 2, 1), false,
-       0xd386235ad0028cfb},
-      {"compiled/rbcast/n5/f2/d2/seed17",
-       compiled_plan(17, "reliable-broadcast", 5, 2, 2), true,
-       0x1403bbc0c46ddc95},
-  };
+  const std::vector<testing::GoldenCase> cases = testing::golden_cases();
   for (unsigned threads : {1u, 2u, 8u}) {
     SimThreadsGuard guard(threads);
-    for (const Case& c : cases) {
-      const std::uint64_t got = sync_fingerprint(c.plan, c.traced);
+    for (const testing::GoldenCase& c : cases) {
+      const std::uint64_t got = testing::sync_fingerprint(c.plan, c.traced);
       EXPECT_EQ(got, c.want) << c.name << " at threads=" << threads
                              << " fingerprint 0x" << std::hex << got;
     }
