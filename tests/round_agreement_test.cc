@@ -5,10 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <vector>
+
 #include "core/predicates.h"
 #include "sim/corrupt.h"
 #include "sim/simulator.h"
 #include "test_util.h"
+#include "util/numeric.h"
 
 namespace ftss {
 namespace {
@@ -126,6 +132,70 @@ TEST(RoundAgreement, SnapshotRoundTrips) {
   RoundAgreementProcess b(0);
   b.restore_state(a.snapshot_state());
   EXPECT_EQ(b.round_counter(), std::optional<Round>(42));
+}
+
+// Figure 1's transition on hand-built inboxes, for both variants.  The
+// simulator only ever delivers integer tags from live peers; these inboxes
+// also carry corrupted payloads, tags at the int64 limits (clamped to
+// ±kTagClampMagnitude) and negative tags.
+TEST(RoundAgreement, EndRoundAdoptsMaxClampedTagPlusOne) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const auto tag = [](std::int64_t c) {
+    return Message{.sender = 1, .dest = 0,
+                   .payload = Value::map({{"type", Value("ROUND")},
+                                          {"p", Value(1)},
+                                          {"c", Value(c)}})};
+  };
+  const auto payload = [](Value v) {
+    return Message{.sender = 1, .dest = 0, .payload = std::move(v)};
+  };
+  const std::vector<Message> garbage = {
+      payload(Value::map({{"c", Value("7")}})),
+      payload(Value::map({{"type", Value("ROUND")}, {"p", Value(1)}})),
+      payload(Value(9)),
+      payload(Value::array({Value("c"), Value(9)}))};
+  std::vector<Message> mixed = garbage;
+  mixed.insert(mixed.begin() + 1, tag(kMin));
+  mixed.push_back(tag(-7));
+  mixed.insert(mixed.begin() + 3, tag(-7));
+
+  struct Case {
+    const char* name;
+    Round initial;
+    std::vector<Message> inbox;
+    Round next;          // both variants, unless the uniform one halts
+    bool uniform_halts;  // a tag other than `initial` was delivered
+  };
+  const Case cases[] = {
+      {"empty", 5, {}, 6, false},
+      {"empty, counter above the tag clamp", kMax, {}, kTagClampMagnitude + 1,
+       false},
+      {"garbage only", 5, garbage, 6, false},
+      {"garbage only, counter below the tag clamp", kMin, garbage,
+       -kTagClampMagnitude + 1, false},
+      {"int64 limits", 5, {tag(kMin), tag(kMax)}, kTagClampMagnitude + 1,
+       true},
+      {"int64 max alone", kMax, {tag(kMax), tag(kMax)},
+       kTagClampMagnitude + 1, false},
+      {"int64 min alone", 5, {tag(kMin)}, -kTagClampMagnitude + 1, true},
+      {"negative tags", -3, {tag(-3), tag(-10)}, -2, true},
+      {"equal negative tags", -3, {tag(-3), tag(-3)}, -2, false},
+      {"tags below the counter", 100, {tag(-3), tag(4)}, 5, true},
+      {"mixed", 5, mixed, -6, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    RoundAgreementProcess plain(0, c.initial);
+    plain.end_round(c.inbox);
+    EXPECT_EQ(plain.round_counter(), std::optional<Round>(c.next));
+
+    UniformRoundAgreementProcess uniform(0, c.initial);
+    uniform.end_round(c.inbox);
+    EXPECT_EQ(uniform.halted(), c.uniform_halts);
+    EXPECT_EQ(uniform.round_counter(),
+              std::optional<Round>(c.uniform_halts ? c.initial : c.next));
+  }
 }
 
 TEST(RoundAgreement, RandomizedCoterieChangeSchedulesStabilizeInOneRound) {

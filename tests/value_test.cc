@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -114,6 +115,48 @@ TEST(Value, MapLookupFindsExactKeysAndSharesOneMissSentinel) {
   EXPECT_EQ(&v.at("missing"), sentinel);
   EXPECT_FALSE(v.contains("missing"));
   EXPECT_TRUE(sentinel->is_null());
+}
+
+// at() and contains() against the map's own find(), on every window of a
+// sorted key pool that fits in 0 to 8 entries, so small and large maps
+// alike are held to it.  The pool has keys sharing prefixes, the empty key,
+// embedded NULs and high bytes; the absent probes sort before, between and
+// after a window's keys.
+TEST(Value, MapLookupAgreesWithFindAtEverySize) {
+  using namespace std::string_literals;
+  const std::string pool[] = {""s,  "\0"s,   "ROUND"s,  "STATE"s, "c"s,
+                              "c\0"s, "ca"s, "cc"s,     "c\x80"s, "p"s,
+                              "type"s, "\xff"s};
+  const std::string between[] = {"\0\0"s, "A"s,    "ROUNDS"s, "b"s,
+                                 "c\0\0"s, "c\x01"s, "caa"s,   "cb"s,
+                                 "c\x7f"s, "c\x81"s, "d"s,     "typ"s,
+                                 "typf"s,  "\xff\xff"s};
+  const Value scalar(7);
+  const Value* sentinel = &scalar.at("c");
+  const std::size_t pool_size = std::size(pool);
+  for (std::size_t size = 0; size <= 8; ++size) {
+    for (std::size_t first = 0; first + size <= pool_size; ++first) {
+      Value::Map items;
+      for (std::size_t i = first; i < first + size; ++i) {
+        items.emplace(pool[i], Value(static_cast<std::int64_t>(i)));
+      }
+      const Value v(std::move(items));
+      const Value::Map& m = v.as_map();
+      ASSERT_EQ(m.size(), size);
+      auto probe = [&](const std::string& key) {
+        const auto it = m.find(key);
+        const Value* want = it == m.end() ? sentinel : &it->second;
+        SCOPED_TRACE(::testing::Message() << "size " << size << " first "
+                                        << first << " key " << Value(key));
+        EXPECT_EQ(&v.at(key), want);
+        EXPECT_EQ(&v.at(std::string_view(key)), want);
+        EXPECT_EQ(v.contains(key), it != m.end());
+        EXPECT_EQ(v.contains(std::string_view(key)), it != m.end());
+      };
+      for (const std::string& key : pool) probe(key);
+      for (const std::string& key : between) probe(key);
+    }
+  }
 }
 
 TEST(Value, IndexOperatorCreatesMap) {
