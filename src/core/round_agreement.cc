@@ -15,6 +15,10 @@ Value round_message(ProcessId p, Round c) {
   m["c"] = Value(c);
   return m;
 }
+
+// One below every clamped tag: the max fold starts here and still holds it
+// iff no integer tag was delivered.
+constexpr Round kNoTag = -kTagClampMagnitude - 1;
 }  // namespace
 
 void RoundAgreementProcess::begin_round(Outbox& out) {
@@ -36,16 +40,13 @@ void RoundAgreementProcess::end_round(const std::vector<Message>& delivered) {
   // R := { c | p received (ROUND: q, c) };  c_p := max(R) + 1.
   // R always contains p's own broadcast, so max over deliveries is defined;
   // guard anyway so a pathological run cannot fault.
-  bool any = false;
-  Round best = c_;
+  Round best = kNoTag;
   for (const auto& m : delivered) {
     const Value& c = m.payload.at("c");
     if (!c.is_int()) continue;  // garbage from a corrupted peer: ignore shape
-    const Round t = clamp_round_tag(c.as_int());
-    best = any ? std::max(best, t) : t;
-    any = true;
+    best = std::max(best, clamp_round_tag(c.as_int()));
   }
-  c_ = (any ? best : clamp_round_tag(c_)) + 1;
+  c_ = (best != kNoTag ? best : clamp_round_tag(c_)) + 1;
 }
 
 Value RoundAgreementProcess::snapshot_state() const {
@@ -71,16 +72,13 @@ void UniformRoundAgreementProcess::begin_round(Outbox& out) {
 
 void UniformRoundAgreementProcess::end_round(
     const std::vector<Message>& delivered) {
-  bool any = false;
-  Round best = c_;
+  Round best = kNoTag;
   bool disagreement = false;
   for (const auto& m : delivered) {
     const Value& c = m.payload.at("c");
     if (!c.is_int()) continue;
     if (c.as_int() != c_) disagreement = true;
-    const Round t = clamp_round_tag(c.as_int());
-    best = any ? std::max(best, t) : t;
-    any = true;
+    best = std::max(best, clamp_round_tag(c.as_int()));
   }
   if (disagreement) {
     // "Self-check and halt before doing any harm."  Under a systemic failure
@@ -88,7 +86,7 @@ void UniformRoundAgreementProcess::end_round(
     halted_ = true;
     return;
   }
-  c_ = (any ? best : clamp_round_tag(c_)) + 1;
+  c_ = (best != kNoTag ? best : clamp_round_tag(c_)) + 1;
 }
 
 Value UniformRoundAgreementProcess::snapshot_state() const {
