@@ -183,11 +183,12 @@ class JsonEmitter {
     if (!metrics_.is_null()) doc["metrics"] = std::move(metrics_);
     doc["timings"] = Value(std::move(timings_));
     std::ofstream out(path_);
+    out << doc.to_string() << "\n";
+    out.close();
     if (!out) {
       std::fprintf(stderr, "cannot write %s\n", path_.c_str());
       return 1;
     }
-    out << doc.to_string() << "\n";
     std::printf("wrote %s\n", path_.c_str());
     return any_check_failed_ ? 1 : 0;
   }

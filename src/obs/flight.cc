@@ -255,10 +255,10 @@ bool FlightRecorder::dump_to_file(const std::string& path) const {
   std::vector<std::uint8_t> bytes;
   encode_flight_dump(dump(), bytes);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
-  return out.good();
+  out.close();  // flushes: a full device fails here, not at the write
+  return !out.fail();
 }
 
 // --- Dump serialization ---------------------------------------------------
@@ -416,7 +416,9 @@ std::string dump_failure_artifacts(const std::string& prefix,
   if (!FlightRecorder::global().dump_to_file(flight_path)) return "";
   if (metrics != nullptr) {
     std::ofstream out(prefix + ".metrics.json", std::ios::trunc);
-    if (out) out << metrics->document().to_string() << "\n";
+    out << metrics->document().to_string() << "\n";
+    out.close();
+    if (out.fail()) return "";
   }
   return flight_path;
 }

@@ -165,7 +165,8 @@ std::string flight_dump_to_chrome(const FlightDump& dump);
 
 // Writes <prefix>.flight (the global recorder's dump) and, when `metrics`
 // is non-null, <prefix>.metrics.json (its ftss-metrics-v1 document, timing
-// included).  Returns the flight-dump path, or "" if writing it failed.
+// included).  Returns the flight-dump path, or "" if writing either file
+// failed.
 std::string dump_failure_artifacts(const std::string& prefix,
                                    const MetricsSnapshot* metrics);
 

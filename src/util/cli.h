@@ -79,16 +79,18 @@ inline std::optional<std::string> read_file(const std::string& path) {
   return std::move(buffer).str();
 }
 
-// Writes `text` to `path`; if the file cannot be opened, prints
-// "<tool>: cannot write <path>" and returns false.
+// Writes `text` to `path`; if the file cannot be opened or written, or
+// the close that flushes it fails, prints "<tool>: cannot write <path>" and
+// returns false.
 inline bool write_file(const char* tool, const std::string& path,
                        const std::string& text) {
   std::ofstream out(path);
+  out << text;
+  out.close();
   if (!out) {
     std::cerr << tool << ": cannot write " << path << "\n";
     return false;
   }
-  out << text;
   return true;
 }
 

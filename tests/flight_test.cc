@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -17,6 +18,7 @@
 #include "net/transport.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
+#include "util/cli.h"
 #include "util/value.h"
 
 namespace ftss {
@@ -262,6 +264,25 @@ TEST_F(FlightTest, DumpFailureArtifactsWithRecorderDisabledIsDecodable) {
       decode_flight_dump(bytes.data(), bytes.size());
   ASSERT_EQ(decoded.error, wire::WireError::kOk);
   EXPECT_TRUE(decoded.dump.threads.empty());
+}
+
+// A write that never reaches the file is a failure, also when the stream
+// opened and only the flush at close fails: /dev/full takes no bytes.
+TEST_F(FlightTest, WritesToAFullDeviceReportFailure) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  FlightRecorder::instant(FlightCat::kMark, 1, 2);
+  EXPECT_FALSE(FlightRecorder::global().dump_to_file("/dev/full"));
+  EXPECT_FALSE(write_file("flight_test", "/dev/full", "text\n"));
+}
+
+// The metrics sidecar is part of the artifacts: when it cannot be written
+// (here its path is a directory), dump_failure_artifacts reports failure.
+TEST_F(FlightTest, DumpFailureArtifactsReportsAnUnwritableSidecar) {
+  const std::string prefix = ::testing::TempDir() + "flight_blocked_sidecar";
+  std::filesystem::create_directories(prefix + ".metrics.json");
+  const MetricsSnapshot metrics;
+  EXPECT_EQ(dump_failure_artifacts(prefix, &metrics), "");
+  EXPECT_EQ(dump_failure_artifacts(prefix, nullptr), prefix + ".flight");
 }
 
 // The acceptance path: a deliberately corrupted transport frame forces a
