@@ -8,6 +8,10 @@
 // the last coterie change).
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "bench_util.h"
 #include "core/predicates.h"
 #include "core/round_agreement.h"
@@ -252,6 +256,36 @@ BENCHMARK(BM_ScaledRoundsLarge)
     ->UseRealTime()
     ->MeasureProcessCPUTime()
     ->Iterations(1);
+
+// The tag read every sync protocol makes per delivered message, on maps on
+// both sides of Value's scan threshold (args: entries, probe: 0 the first
+// key, 1 the last, 2 an absent one).  Keys are one byte, 'a' upward, and
+// the probe's length is a compile-time 1 as a literal tag's is, so the
+// key compare inlines as it does on the hot path; its byte is run-time
+// data.  1024 separate maps stand in for one round's inbox at n = 1024.
+void BM_ValueAt(benchmark::State& state) {
+  const auto entries = static_cast<int>(state.range(0));
+  const auto probe = state.range(1);
+  std::vector<Value> maps(1024);
+  for (Value& m : maps) {
+    for (int i = 0; i < entries; ++i) {
+      m[std::string(1, static_cast<char>('a' + i))] = Value(i);
+    }
+  }
+  const char key = probe == 0   ? 'a'
+                   : probe == 1 ? static_cast<char>('a' + entries - 1)
+                                : 'z';
+  for (auto _ : state) {
+    for (const Value& m : maps) {
+      benchmark::DoNotOptimize(&m.at(std::string_view(&key, 1)));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(maps.size()));
+}
+BENCHMARK(BM_ValueAt)
+    ->ArgsProduct({{2, 3, 4, 5, 8}, {0, 1, 2}})
+    ->ArgNames({"entries", "probe"});
 
 void BM_FtssCheck(benchmark::State& state) {
   SyncSimulator sim(SyncConfig{.seed = 1, .record_states = false},
