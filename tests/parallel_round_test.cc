@@ -20,6 +20,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "check/explorer.h"
@@ -77,6 +78,74 @@ TEST(ParallelRound, FastPathHistoryIdenticalAcrossLaneCounts) {
   const std::string serial = run_at(1);
   for (unsigned threads : {2u, 8u}) {
     EXPECT_EQ(run_at(threads), serial) << "threads=" << threads;
+  }
+}
+
+// Figure 1's process, logging what each end_round receives: the
+// (sender, payload hash) sequence, one entry per round.
+class InboxLoggingProcess : public SyncProcess {
+ public:
+  using Inbox = std::vector<std::pair<ProcessId, std::uint64_t>>;
+
+  InboxLoggingProcess(ProcessId self, std::vector<Inbox>* log)
+      : inner_(self), log_(log) {}
+
+  void begin_round(Outbox& out) override { inner_.begin_round(out); }
+  void end_round(const std::vector<Message>& delivered) override {
+    Inbox& inbox = log_->emplace_back();
+    for (const Message& m : delivered) {
+      inbox.emplace_back(m.sender, m.payload.hash());
+    }
+    inner_.end_round(delivered);
+  }
+  Value snapshot_state() const override { return inner_.snapshot_state(); }
+  void restore_state(const Value& state) override {
+    inner_.restore_state(state);
+  }
+  std::optional<Round> round_counter() const override {
+    return inner_.round_counter();
+  }
+
+ private:
+  RoundAgreementProcess inner_;
+  std::vector<Inbox>* log_;
+};
+
+// The broadcast fast path (nothing recorded) must hand every process the
+// same inbox, in the same order, as the recorded slow path does, round by
+// round and at any lane count.
+TEST(ParallelRound, FastPathInboxesMatchSlowPath) {
+  const int n = 27;
+  const int rounds = 20;
+  auto run_at = [&](unsigned threads, bool record_sends) {
+    std::vector<std::vector<InboxLoggingProcess::Inbox>> logs(n);
+    std::vector<std::unique_ptr<SyncProcess>> procs;
+    for (ProcessId p = 0; p < n; ++p) {
+      procs.push_back(std::make_unique<InboxLoggingProcess>(p, &logs[p]));
+    }
+    SyncSimulator sim(SyncConfig{.seed = 3,
+                                 .record_states = false,
+                                 .record_sends = record_sends,
+                                 .threads = threads},
+                      std::move(procs));
+    sim.corrupt_state(0, testing::clock_state(100000));
+    sim.corrupt_state(n - 1, testing::clock_state(-77));
+    sim.run_rounds(rounds);
+    return logs;
+  };
+  for (unsigned threads : {1u, 2u, 8u}) {
+    const auto fast = run_at(threads, false);
+    const auto slow = run_at(threads, true);
+    for (ProcessId p = 0; p < n; ++p) {
+      ASSERT_EQ(fast[p].size(), static_cast<std::size_t>(rounds));
+      ASSERT_EQ(slow[p].size(), static_cast<std::size_t>(rounds));
+      for (int r = 0; r < rounds; ++r) {
+        EXPECT_EQ(fast[p][r].size(), static_cast<std::size_t>(n));
+        EXPECT_EQ(fast[p][r], slow[p][r])
+            << "threads=" << threads << " process " << p << " round "
+            << r + 1;
+      }
+    }
   }
 }
 
