@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -11,6 +12,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "core/predicates.h"
 #include "core/round_agreement.h"
@@ -144,6 +146,33 @@ TEST(WorkerPool, RunTasksInvokesEachTaskExactlyOnce) {
     });
     for (std::size_t t = 0; t < tasks; ++t) {
       EXPECT_EQ(hits[t].load(), 1) << "tasks=" << tasks << " t=" << t;
+    }
+  }
+}
+
+// 10^4 back-to-back batches of 1 to 8 tasks on a 4-lane pool, sizes
+// alternating above and below the worker count: each task runs exactly
+// once, and its result is in place when run_tasks returns.  Under TSan this
+// also checks that a worker waking after a batch has returned never touches
+// that batch, which lived on the caller's stack.
+TEST(WorkerPool, ManySmallBatchesRunEachTaskOnce) {
+  WorkerPool pool(4);
+  constexpr std::size_t kMaxTasks = 8;
+  std::vector<std::atomic<int>> hits(kMaxTasks);
+  std::vector<std::size_t> results(kMaxTasks);
+  for (std::size_t batch = 0; batch < 10000; ++batch) {
+    const std::size_t tasks = batch * 5 % kMaxTasks + 1;
+    for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+    pool.run_tasks(tasks, [&](std::size_t t) {
+      hits[t].fetch_add(1, std::memory_order_relaxed);
+      results[t] = batch * kMaxTasks + t;
+    });
+    for (std::size_t t = 0; t < kMaxTasks; ++t) {
+      ASSERT_EQ(hits[t].load(), t < tasks ? 1 : 0)
+          << "batch " << batch << " of " << tasks << " tasks, t=" << t;
+      if (t < tasks) {
+        ASSERT_EQ(results[t], batch * kMaxTasks + t);
+      }
     }
   }
 }
