@@ -9,10 +9,10 @@ namespace {
 thread_local bool tl_on_pool_thread = false;
 }  // namespace
 
-// One posted batch.  Lives on the posting caller's stack; workers hold a
-// raw pointer to it only between observing the generation bump and
-// reporting done, and run_batch does not return (or retire the pointer)
-// until every registered worker has reported.
+// One posted batch.  Lives on the posting caller's stack; a worker reads
+// the pointer only while taking a seat under mu_, holds it only until it
+// reports done, and run_batch does not return until every seated worker
+// has reported.
 struct WorkerPool::Batch {
   void (*fn)(void*, std::size_t) = nullptr;
   void* ctx = nullptr;
@@ -47,9 +47,8 @@ void WorkerPool::ensure_lanes(unsigned lanes) {
   // so taking it here would deadlock; and nested run_tasks calls run
   // inline, so there is nothing to grow for.
   if (on_pool_thread()) return;
-  // post_mu_ keeps growth out of any in-flight batch: a thread spawned
-  // mid-batch could otherwise register with generation_ == the live batch's
-  // and skip it while run_batch counts it as draining.
+  // post_mu_ keeps growth out of any in-flight batch, so the next batch
+  // is posted only once every new worker is waiting for it.
   std::lock_guard<std::mutex> serialize(post_mu_);
   std::unique_lock<std::mutex> lock(mu_);
   grow_locked(lock, lanes);
@@ -60,8 +59,8 @@ void WorkerPool::grow_locked(std::unique_lock<std::mutex>& lock,
   while (threads_.size() + 1 < lanes) {
     threads_.emplace_back([this] { worker_main(); });
   }
-  // Return only once every worker is registered: run_batch counts exactly
-  // registered_ workers in, so a batch posted right after growth would
+  // Return only once every worker is registered: run_batch offers seats
+  // only to registered workers, so a batch posted right after growth would
   // otherwise leave the unregistered ones out and run on fewer lanes.
   registered_cv_.wait(lock, [&] { return registered_ == threads_.size(); });
 }
@@ -87,22 +86,26 @@ void WorkerPool::execute(Batch& batch) {
 void WorkerPool::worker_main() {
   tl_on_pool_thread = true;
   std::unique_lock<std::mutex> lock(mu_);
-  // Registration pairs with run_batch's draining_ = registered_: a worker
-  // that registers before a batch is posted will observe its generation
+  // A worker that registers before a batch is posted sees its generation
   // bump; one that registers after adopts the current generation and waits
-  // for the next batch, exactly matching not having been counted.
+  // for the next batch.
   std::uint64_t seen = generation_;
   ++registered_;
   registered_cv_.notify_all();
   for (;;) {
-    work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
+    // A batch with no seat left (full, or closed by its caller) is never
+    // touched: only a seated worker reads batch_.
+    work_cv_.wait(lock,
+                  [&] { return stop_ || (seats_ > 0 && generation_ != seen); });
     if (stop_) return;
     seen = generation_;
+    --seats_;
+    ++seated_;
     Batch* batch = batch_;
     lock.unlock();
     execute(*batch);
     lock.lock();
-    if (--draining_ == 0) done_cv_.notify_one();
+    if (--seated_ == 0) done_cv_.notify_one();
   }
 }
 
@@ -113,21 +116,29 @@ void WorkerPool::run_batch(void (*fn)(void*, std::size_t), void* ctx,
   batch.fn = fn;
   batch.ctx = ctx;
   batch.tasks = tasks;
+  unsigned seats = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     batch_ = &batch;
     ++generation_;
-    draining_ = registered_;
+    // The caller runs one lane itself, so at most tasks - 1 workers join:
+    // a two-task batch wakes one worker, not the whole pool.
+    seats = static_cast<unsigned>(
+        std::min<std::size_t>(tasks - 1, registered_));
+    seats_ = seats;
   }
-  work_cv_.notify_all();
+  for (unsigned i = 0; i < seats; ++i) work_cv_.notify_one();
   // The caller is lane material too: claim tasks until none remain.
   tl_on_pool_thread = true;
   execute(batch);
   tl_on_pool_thread = false;
   {
+    // Every task is claimed: close the batch to late wakers and wait only
+    // for the workers that took a seat.
     std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return draining_ == 0; });
+    seats_ = 0;
     batch_ = nullptr;
+    done_cv_.wait(lock, [&] { return seated_ == 0; });
   }
   if (batch.error) std::rethrow_exception(batch.error);
 }

@@ -90,8 +90,9 @@ class WorkerPool {
  private:
   struct Batch;
 
-  // Type-erased core of run_tasks: posts the batch, participates, waits for
-  // every worker to acknowledge it, rethrows the recorded error.
+  // Type-erased core of run_tasks: posts the batch with tasks - 1 seats,
+  // participates, closes it once every task is claimed, waits for the
+  // seated workers, rethrows the recorded error.
   void run_batch(void (*fn)(void*, std::size_t), void* ctx,
                  std::size_t tasks);
   // Claim loop over a batch's task indices (caller and workers alike).
@@ -103,13 +104,14 @@ class WorkerPool {
 
   mutable std::mutex mu_;  // guards everything below
   std::condition_variable work_cv_;  // workers: "a new batch is posted"
-  std::condition_variable done_cv_;  // run_batch: "all workers drained"
+  std::condition_variable done_cv_;  // run_batch: "seated workers done"
   std::condition_variable registered_cv_;  // growth: "a worker registered"
   std::vector<std::thread> threads_;
   Batch* batch_ = nullptr;           // non-null while a batch is posted
   std::uint64_t generation_ = 0;     // bumped per batch; workers track it
   unsigned registered_ = 0;          // workers that have entered their loop
-  unsigned draining_ = 0;            // workers yet to finish the posted batch
+  unsigned seats_ = 0;               // workers that may still join the batch
+  unsigned seated_ = 0;              // joined workers yet to finish it
   bool stop_ = false;
 
   // Serializes external run_batch callers (and ensure_lanes) so exactly one
