@@ -35,6 +35,13 @@ std::string send_brief(const SendRecord& s) {
   return os.str();
 }
 
+// p's start-of-round state.  A history recorded with state recording off
+// has an empty column, which reads as all-null.
+const Value& state_of(const RoundRecord& rec, int p) {
+  static const Value kNull;
+  return rec.state.empty() ? kNull : rec.state[p];
+}
+
 std::string clock_str(const std::optional<Round>& c) {
   return c ? std::to_string(*c) : std::string("-");
 }
@@ -119,10 +126,12 @@ std::vector<Divergence> diff_histories(const History& a, const History& b) {
                  " vs " + clock_str(rb.clock[p]);
         });
       }
-      if (ra.state[p] != rb.state[p]) {
+      const Value& sa = state_of(ra, p);
+      const Value& sb = state_of(rb, p);
+      if (sa != sb) {
         sink.report("state", r, [&] {
-          return "p" + std::to_string(p) + ": " + ra.state[p].to_string() +
-                 " vs " + rb.state[p].to_string();
+          return "p" + std::to_string(p) + ": " + sa.to_string() + " vs " +
+                 sb.to_string();
         });
       }
     }
@@ -184,8 +193,8 @@ std::uint64_t history_fingerprint(const History& h) {
     fp = fnv1a_bytes(fp, bools_str(rec.halted));
     for (int p = 0; p < h.n; ++p) {
       fp = fnv1a_bytes(fp, clock_str(rec.clock[p]));
-      fp = fnv1a_bytes(
-          fp, rec.state[p].is_null() ? "-" : rec.state[p].to_string());
+      const Value& state = state_of(rec, p);
+      fp = fnv1a_bytes(fp, state.is_null() ? "-" : state.to_string());
     }
     for (const SendRecord& s : canonical_sends(rec)) {
       fp = fnv1a_bytes(fp, send_brief(s));
@@ -234,7 +243,7 @@ History permute_history(const History& h, const std::vector<ProcessId>& perm) {
     pr.round = rec.round;
     pr.alive.resize(h.n);
     pr.halted.resize(h.n);
-    pr.state.resize(h.n);
+    if (!rec.state.empty()) pr.state.resize(h.n);
     pr.clock.resize(h.n);
     pr.faulty_by_now.resize(h.n);
     pr.coterie.resize(h.n);
@@ -243,7 +252,7 @@ History permute_history(const History& h, const std::vector<ProcessId>& perm) {
       const int q = perm.at(p);
       pr.alive[q] = rec.alive[p];
       pr.halted[q] = rec.halted[p];
-      pr.state[q] = rec.state[p];
+      if (!rec.state.empty()) pr.state[q] = rec.state[p];
       pr.clock[q] = rec.clock[p];
       pr.faulty_by_now[q] = rec.faulty_by_now[p];
       pr.coterie[q] = rec.coterie[p];

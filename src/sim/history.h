@@ -79,7 +79,10 @@ struct RoundRecord {
   // Per-process facts at the *start* of the round.
   std::vector<bool> alive;                        // not crashed
   std::vector<bool> halted;                       // self-halted (uniform Π)
-  std::vector<Value> state;                       // snapshot (null if dead)
+  // Snapshots, null for a dead process.  Empty when state recording is off
+  // (SyncConfig::record_states); the differ and the history fingerprint
+  // (conform/diff.h) read an empty column as all-null.
+  std::vector<Value> state;
   std::vector<std::optional<Round>> clock;        // c_p^r, if exposed
 
   std::vector<SendRecord> sends;

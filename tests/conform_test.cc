@@ -92,6 +92,39 @@ TEST(ConformDiff, PermuteHistoryRoundTripsThroughInverse) {
   EXPECT_EQ(history_fingerprint(h), history_fingerprint(back));
 }
 
+// With state recording off the state column is left empty, and the differ,
+// the fingerprint and the renaming all read it as the all-null column it
+// stands for.
+TEST(ConformDiff, EmptyStateColumnReadsAsAllNull) {
+  SyncConfig config;
+  config.seed = 2;
+  config.record_states = false;
+  SyncSimulator sim(config, testing::round_agreement_system(5));
+  sim.corrupt_state(1, testing::clock_state(40));
+  sim.run_rounds(6);
+  const History empty = sim.history();
+  History nulls = empty;
+  for (RoundRecord& rec : nulls.rounds) {
+    ASSERT_TRUE(rec.state.empty());
+    rec.state.resize(nulls.n);
+  }
+  EXPECT_EQ(history_fingerprint(empty), history_fingerprint(nulls));
+  EXPECT_TRUE(diff_histories(empty, nulls).empty());
+  EXPECT_TRUE(diff_histories(nulls, empty).empty());
+  const History renamed = permute_history(empty, rotation(5));
+  EXPECT_TRUE(renamed.rounds.front().state.empty());
+  EXPECT_EQ(history_fingerprint(renamed),
+            history_fingerprint(permute_history(nulls, rotation(5))));
+
+  // A recorded state still differs from the null an empty column reads as.
+  History one = nulls;
+  one.rounds.front().state[2] = testing::clock_state(7);
+  EXPECT_NE(history_fingerprint(one), history_fingerprint(empty));
+  const std::vector<Divergence> ds = diff_histories(empty, one);
+  ASSERT_EQ(ds.size(), 1u);
+  EXPECT_EQ(describe(ds.front()), "state@1: p2: null vs {\"c\":7}");
+}
+
 // A replay leg's findings are its books' notes, in order, then every
 // history diff: a divergence the books do not note still fails the leg.
 TEST(ConformDiff, ReplayFindingsAreNotesThenHistoryDiffs) {

@@ -260,7 +260,7 @@ TEST(SyncSimulator, RecordStatesOffLeavesClocksAvailable) {
   SyncSimulator sim(SyncConfig{.seed = 1, .record_states = false},
                     round_agreement_system(2));
   sim.run_rounds(2);
-  EXPECT_TRUE(sim.history().at(1).state[0].is_null());
+  EXPECT_TRUE(sim.history().at(1).state.empty());
   EXPECT_EQ(sim.history().at(2).clock[0], std::optional<Round>(2));
 }
 
