@@ -74,7 +74,7 @@ class LockstepDriver {
     return out;
   }
 
-  void handle_send(Round r, Message&& m, AsyncContext& ctx);
+  void handle_send(Round r, Outgoing&& m, AsyncContext& ctx);
   void finish(const EventSimulator& sim);
 
   const TrialPlan& plan_;
@@ -128,14 +128,14 @@ void LockstepDriver::on_round_tick(ProcessId p, AsyncContext& ctx) {
   books_.observe(r, p, proc.halted(), proc.snapshot_state(),
                  proc.round_counter(), std::move(suspects));
   if (!proc.halted()) {
-    std::vector<Message> outgoing;
+    std::vector<Outgoing> outgoing;
     CollectOutbox out(p, n_, &outgoing);
     proc.begin_round(out);
-    for (Message& m : outgoing) handle_send(r, std::move(m), ctx);
+    for (Outgoing& m : outgoing) handle_send(r, std::move(m), ctx);
   }
 }
 
-void LockstepDriver::handle_send(Round r, Message&& m, AsyncContext& ctx) {
+void LockstepDriver::handle_send(Round r, Outgoing&& m, AsyncContext& ctx) {
   const std::optional<std::int64_t> id =
       books_.send(r, m.sender, m.dest, m.payload);
   if (!id) return;  // send-omitted (already recorded) or unscheduled
@@ -179,7 +179,7 @@ void LockstepDriver::on_wire_message(ProcessId dest, ProcessId from,
   const Value& body = wire.as_array()[1];
   if (pend->fate == Fate::kDelivered) {
     if (delivered_seen_++ == options_.drop_delivery_index) return;  // TEST HOOK
-    adapters_.at(dest)->buffer().push_back(Message{from, dest, body});
+    adapters_.at(dest)->buffer().push_back(Message{from, body});
   }
   // The record carries the payload that came off the event queue, so the
   // differ checks payloads across it.

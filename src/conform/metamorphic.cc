@@ -70,7 +70,7 @@ class PayloadTransformProcess : public SyncProcess {
     std::vector<Message> copies;
     copies.reserve(delivered.size());
     for (const Message& m : delivered) {
-      copies.push_back(Message{m.sender, m.dest, transform_(m.payload)});
+      copies.push_back(Message{m.sender, transform_(m.payload)});
     }
     inner_->end_round(copies);
   }

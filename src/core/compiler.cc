@@ -69,7 +69,7 @@ void CompiledProcess::end_round(const std::vector<Message>& delivered) {
         !matching_.contains(m.sender)) {
       continue;  // even without suspects, Π only consumes same-round traffic
     }
-    pi_view_.push_back(Message{m.sender, m.dest, m.payload.at("STATE")});
+    pi_view_.push_back(Message{m.sender, m.payload.at("STATE")});
   }
 
   // Π executes its round k = normalize(c_p).

@@ -25,7 +25,7 @@ void FullInfoProcess::end_round(const std::vector<Message>& delivered) {
   std::vector<Message> states;
   states.reserve(delivered.size());
   for (const auto& m : delivered) {
-    states.push_back(Message{m.sender, m.dest, m.payload.at("STATE")});
+    states.push_back(Message{m.sender, m.payload.at("STATE")});
   }
   const int k = static_cast<int>(c_);
   s_ = protocol_->transition(self_, n_, s_, states, k);

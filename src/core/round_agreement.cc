@@ -28,9 +28,8 @@ void RoundAgreementProcess::begin_round(Outbox& out) {
   // in-flight message still shares the node.  Nothing retains them on an
   // unrecorded, jitter-free run: the slow path clears each inbox right after
   // its end_round, and SyncSimulator::run_rounds_impl's broadcast fast path
-  // clears fast_inbox_ and every lane's fast_inbox once the round's
-  // end_round calls finish.  Steady-state rounds there build no payload
-  // nodes at all.
+  // clears its one shared inbox once the round's end_round calls finish.
+  // Steady-state rounds there build no payload nodes at all.
   if (msg_.is_null()) msg_ = round_message(self_, c_);
   msg_["c"] = Value(c_);
   out.broadcast(msg_);

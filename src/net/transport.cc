@@ -110,7 +110,7 @@ void process_main(Channel ch, SyncProcess* proc, std::string* error) {
             {Value(id), Value(static_cast<std::int64_t>(reject))}));
       } else {
         inbox.push_back(Message{
-            static_cast<ProcessId>(inner.frame.body.at("s").as_int()), self,
+            static_cast<ProcessId>(inner.frame.body.at("s").as_int()),
             inner.frame.body.at("b")});
         ok.push_back(Value(id));
       }
@@ -137,10 +137,10 @@ void process_main(Channel ch, SyncProcess* proc, std::string* error) {
     if (!last) {
       Value::Array sends;
       if (!proc->halted()) {
-        std::vector<Message> outgoing;
+        std::vector<Outgoing> outgoing;
         CollectOutbox out(self, n, &outgoing);
         proc->begin_round(out);
-        for (Message& m : outgoing) {
+        for (Outgoing& m : outgoing) {
           sends.push_back(Value::tuple(Value(m.dest), std::move(m.payload)));
         }
       }

@@ -30,25 +30,25 @@ class Outbox {
 
 // Outbox appending a process's begin_round emissions to a caller-owned
 // vector: sends are bounds-checked, and a broadcast fans out into one
-// Message per destination in id order, self included.  The sync
+// Outgoing per destination in id order, self included.  The sync
 // simulator's send phase, the lockstep leg and the transport leg's process
 // threads all collect through it, so every execution leg sees the same
 // emission order and the same bad-destination error.
 class CollectOutbox : public Outbox {
  public:
-  CollectOutbox(ProcessId self, int n, std::vector<Message>* sink)
+  CollectOutbox(ProcessId self, int n, std::vector<Outgoing>* sink)
       : self_(self), n_(n), sink_(sink) {}
 
   void send(ProcessId to, Value payload) override {
     if (to < 0 || to >= n_) {
       throw std::out_of_range("Outbox::send: bad destination");
     }
-    sink_->push_back(Message{self_, to, std::move(payload)});
+    sink_->push_back(Outgoing{self_, to, std::move(payload)});
   }
 
   void broadcast(Value payload) override {
     for (ProcessId q = 0; q < n_; ++q) {
-      sink_->push_back(Message{self_, q, payload});
+      sink_->push_back(Outgoing{self_, q, payload});
     }
   }
 
@@ -57,7 +57,7 @@ class CollectOutbox : public Outbox {
  private:
   ProcessId self_;
   int n_;
-  std::vector<Message>* sink_;
+  std::vector<Outgoing>* sink_;
 };
 
 class SyncProcess {
@@ -68,6 +68,8 @@ class SyncProcess {
   virtual void begin_round(Outbox& out) = 0;
 
   // Consume this round's deliveries (sorted by sender id) and transition.
+  // The vector is read-only and valid only for the call: on a broadcast
+  // round the sync simulator hands the same inbox to every process.
   virtual void end_round(const std::vector<Message>& delivered) = 0;
 
   // Full serialization of the process state, used for history recording and

@@ -118,24 +118,18 @@ class SyncSimulator {
   bool send_dropped(ProcessId s, ProcessId d, Round r);
   bool receive_dropped(ProcessId s, ProcessId d, Round r);
 
-  // One fast-path send-phase log entry: a broadcast is stored once (dest =
-  // kBroadcastDest) instead of being fanned out into n Messages at collect
-  // time.  At n = 10^3+ the fan-out itself is the bottleneck — n^2 Message
-  // constructions scattered over n growing inboxes is tens of MB of
-  // cache-hostile traffic per round — so the fast path keeps the log
-  // n-sized and delivers destination-major through one n-sized scratch
-  // inbox per lane that stays cache-resident.
+  // The dest of a fast-path log entry that is a broadcast: it is stored
+  // once instead of being fanned out into n sends at collect time.  At
+  // n = 10^3+ the fan-out itself is the bottleneck — n^2 constructions
+  // scattered over n growing inboxes is tens of MB of cache-hostile traffic
+  // per round — so the fast path keeps the log n-sized and delivers
+  // destination-major through one n-sized inbox that stays cache-resident.
   static constexpr ProcessId kBroadcastDest = -1;
-  struct FastSend {
-    ProcessId sender = 0;
-    ProcessId dest = kBroadcastDest;
-    Value payload;
-  };
 
   // A message delayed past its sending round, together with the sender's
   // happened-before snapshot at send time (needed for correct causality).
   struct InFlight {
-    Message message;
+    Outgoing message;
     Round sent_round = 0;
     ProcessSet sender_influence;
     std::int64_t flow_id = -1;  // trace flow linking send to delivery
@@ -173,7 +167,7 @@ class SyncSimulator {
   struct EngineLane {
     // Slow-path send collection: messages from this lane's contiguous
     // sender range, in sender-then-emission order.
-    std::vector<Message> outbox;
+    std::vector<Outgoing> outbox;
     // Fate-resolved messages awaiting C3, bucketed by destination owner.
     // `message` points into a lane outbox (a fresh send) or an in-flight
     // slot (a drained one), `influence` at the sender's send-time snapshot;
@@ -181,18 +175,15 @@ class SyncSimulator {
     // message's offset into this block's rec.sends tail (uint32 max if
     // records are off).
     struct Delivery {
-      Message* message;
+      Outgoing* message;
       const ProcessSet* influence;
       Round sent_round;
       std::uint32_t slot;
       Fate fate;
     };
     std::vector<Delivery> deliveries;
-    // Fast-path scratch: per-lane collection log and a private scratch
-    // inbox holding every lane's broadcasts (only the dest field is
-    // retargeted per destination, so lanes cannot share one).
-    std::vector<FastSend> fast_log;
-    std::vector<Message> fast_inbox;
+    // Fast-path collection log for this lane's sender range.
+    std::vector<Outgoing> fast_log;
     CausalityTracker::Lane causality;
   };
   unsigned lanes_ = 1;  // config_.threads resolved and clamped
@@ -222,6 +213,10 @@ class SyncSimulator {
   std::vector<FlightSlot> in_flight_slots_;
   int in_flight_count_ = 0;  // total messages currently in flight
   std::vector<std::vector<Message>> inbox_;  // per destination
+  // A broadcast-only fast round's one inbox: every lane's broadcasts in
+  // sender order, read by every destination's end_round on every lane and
+  // written by nothing until the round's transitions are done.
+  std::vector<Message> fast_inbox_;
   // Per-process omission-rule presence, frozen at the first run_rounds call:
   // lets the per-message path skip the rule-scan calls entirely for the
   // (typical) processes with no omission faults planned.  Behavior-neutral:

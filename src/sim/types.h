@@ -15,8 +15,18 @@ using ProcessId = int;
 // unbounded and, after a systemic failure, may hold any value at all.
 using Round = std::int64_t;
 
-// A message in flight during one synchronous round.
+// A delivery: one message a process receives in a round.  In §2's
+// lock-step model a process receives the messages sent to it, so the
+// receiver is implicit and a delivery names only its sender.  The sync
+// simulator's broadcast fast path hands one such inbox to every process.
 struct Message {
+  ProcessId sender = -1;
+  Value payload;
+};
+
+// One send: a message with its destination, as the send side, the fate
+// pass and the in-flight queue carry it until it is delivered.
+struct Outgoing {
   ProcessId sender = -1;
   ProcessId dest = -1;
   Value payload;

@@ -14,7 +14,7 @@ namespace ftss {
 namespace {
 
 Message state_msg(ProcessId from, Value payload) {
-  return Message{from, 0, std::move(payload)};
+  return Message{from, std::move(payload)};
 }
 
 // --- LeaderElection unit ------------------------------------------------------

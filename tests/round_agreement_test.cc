@@ -142,13 +142,13 @@ TEST(RoundAgreement, EndRoundAdoptsMaxClampedTagPlusOne) {
   constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   const auto tag = [](std::int64_t c) {
-    return Message{.sender = 1, .dest = 0,
+    return Message{.sender = 1,
                    .payload = Value::map({{"type", Value("ROUND")},
                                           {"p", Value(1)},
                                           {"c", Value(c)}})};
   };
   const auto payload = [](Value v) {
-    return Message{.sender = 1, .dest = 0, .payload = std::move(v)};
+    return Message{.sender = 1, .payload = std::move(v)};
   };
   const std::vector<Message> garbage = {
       payload(Value::map({{"c", Value("7")}})),
