@@ -17,7 +17,7 @@
 //
 // google-benchmark timings cover the substrate operations the service hot
 // path leans on: batch encode/decode and KvStore application, with and
-// without the (client, seq) dedup floor.
+// without the (client, seq) dedup floor, on one store and on five.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -202,12 +202,17 @@ BENCHMARK(BM_KvApplyDecision)->Arg(1)->Arg(64)->Arg(1024);
 
 // The same apply with every command carrying (client, seq), so each one
 // passes the dedup floor: 20 000 clients in a scattered order, each client's
-// seqs ascending, applied batch by batch to a fresh store per pass (the
+// seqs ascending, applied batch by batch to fresh stores per pass (the
 // access pattern of a svc replica and of report()'s clean-suffix rebuild).
+// The second argument is the number of stores: each batch is decoded once
+// and applied to every store in turn, as KvService::apply_decided does, so
+// five stores' floors (512 KB each) compete for cache where one fits in L2.
+// Items are command applications: 40 960 per store.
 void BM_KvApplyDecisionClients(benchmark::State& state) {
   constexpr std::int64_t kClients = 20000;
   constexpr std::int64_t kCommands = 40960;  // a multiple of every batch arg
   const std::int64_t batch = state.range(0);
+  const std::int64_t stores = state.range(1);
   std::vector<Value> decisions;
   std::vector<svc::Command> commands;
   for (std::int64_t i = 0; i < kCommands; ++i) {
@@ -223,15 +228,18 @@ void BM_KvApplyDecisionClients(benchmark::State& state) {
   }
   std::int64_t applied = 0;
   for (auto _ : state) {
-    svc::KvStore store;
+    std::vector<svc::KvStore> replicas(stores);
     for (const Value& decision : decisions) {
-      applied += store.apply_decision(decision).applied;
+      const svc::KvStore::Batch decoded = svc::KvStore::decode_batch(decision);
+      for (svc::KvStore& store : replicas) {
+        applied += store.apply(decoded).applied;
+      }
     }
   }
   benchmark::DoNotOptimize(applied);
-  state.SetItemsProcessed(state.iterations() * kCommands);
+  state.SetItemsProcessed(state.iterations() * kCommands * stores);
 }
-BENCHMARK(BM_KvApplyDecisionClients)->Arg(1)->Arg(64)->Arg(1024);
+BENCHMARK(BM_KvApplyDecisionClients)->ArgsProduct({{1, 64, 1024}, {1, 5}});
 
 void BM_SvcSmallRun(benchmark::State& state) {
   for (auto _ : state) {
